@@ -6,17 +6,17 @@ Measures the three paths the perf work targets:
 * ``sim`` — end-to-end `run_app` wall time and simulated cycles per
   second for a memory-bound CABA run and a compute-leaning Base run.
 * ``cycle_loop`` — per-run ``Simulator.run()`` wall clock on the
-  Table 1 machine with the vectorized core on (``REPRO_SOA=1``) vs.
-  the pure-Python reference scan (``REPRO_SOA=0``), everything else
-  shared. Gated two ways: the SoA machinery must not regress the pure
-  path by more than 3% over the checked-in baseline, and with numpy
-  available the vectorized core must hold the 2x per-run speedup
+  Table 1 machine with the issue core (memoized, class-screened scan)
+  vs. the same core reduced to the plain per-warp scan (no memos, no
+  screening), everything else shared and both in one process. Gated
+  two ways: the plain scan must not regress by more than 3% over the
+  checked-in baseline, and the core must hold the 2x per-run speedup
   acceptance floor (geomean over the benchmark apps).
 * ``cycle_loop_sampled`` — the same per-run ``Simulator.run()`` unit,
   exact vs. interval-sampled (``repro.gpu.sampling``) at the default
   10 % detail fraction, at full trace scale (the calibrated operating
   point). Gated: sampled runs must hold a 3x speedup geomean over the
-  exact SoA path *and* stay within the documented 2 % error bound on
+  exact path *and* stay within the documented 2 % error bound on
   IPC and bandwidth utilization.
 * ``bdi`` — BDI compress+decompress round-trip throughput over
   generated application lines (the byte-level inner loop).
@@ -57,6 +57,7 @@ numbers reflect simulation cost, not cache hits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
@@ -70,7 +71,7 @@ from repro import design as designs  # noqa: E402
 from repro.compression import make_algorithm  # noqa: E402
 from repro.core.params import CabaParams  # noqa: E402
 from repro.core.subroutines import SubroutineLibrary  # noqa: E402
-from repro.gpu import soa as soa_mod  # noqa: E402
+from repro.gpu import sm as sm_mod  # noqa: E402
 from repro.gpu.config import GPUConfig  # noqa: E402
 from repro.gpu.sampling import SampleConfig  # noqa: E402
 from repro.gpu.simulator import Simulator  # noqa: E402
@@ -117,38 +118,50 @@ def bench_sim(repeats: int) -> dict:
     return out
 
 
+@contextlib.contextmanager
+def plain_scan():
+    """Reduce the issue core to the plain per-warp scan: no memoized
+    slot outcomes and per-pc tables that screen nothing, so every live
+    warp takes the full ``_try_issue`` path."""
+    memo_kind, tables = sm_mod._MEMO_KIND, sm_mod.issue_tables
+    sm_mod._MEMO_KIND = (0,) * len(memo_kind)
+    sm_mod.issue_tables = lambda program: sm_mod.plain_tables(
+        len(program.body)
+    )
+    try:
+        yield
+    finally:
+        sm_mod._MEMO_KIND, sm_mod.issue_tables = memo_kind, tables
+
+
 def bench_cycle_loop(repeats: int, work: float) -> dict:
-    """Per-run simulator wall clock: SoA screen vs. reference scan.
+    """Per-run simulator wall clock: issue core vs. plain scan.
 
     Unlike ``sim`` (which times the whole ``run_app`` harness on the
     small machine), this times ``Simulator.run()`` alone on the Table 1
-    machine, flipping ``REPRO_SOA`` per run with the kernel, image and
-    controller factory shared — the ratio isolates the vectorized core.
-    The two legs are interleaved (reference, SoA, reference, ...) so
-    machine noise lands on both equally, and each leg keeps its best of
-    ``repeats``. Simulated cycle counts must match across modes (the
-    byte-identity contract); a mismatch aborts the benchmark.
+    machine, switching the core's memos and class screening off per
+    run with the kernel, image and controller factory shared — the
+    ratio isolates what they buy. The two legs are interleaved (plain,
+    core, plain, ...) so machine noise lands on both equally, and each
+    leg keeps its best of ``repeats``. Simulated cycle counts must
+    match (the byte-identity contract); a mismatch aborts the
+    benchmark.
     """
-    numpy_ok = soa_mod.np is not None
     points = [("PVC", designs.caba("bdi")), ("MM", designs.base())]
     config = GPUConfig()
     scale = TraceScale(work=work)
-    modes = [("reference", "0")]
-    if numpy_ok:
-        modes.append(("soa", "1"))
-    out: dict = {"scale_work": work, "numpy": numpy_ok, "points": {}}
-    prior = os.environ.get("REPRO_SOA")
-    try:
-        for app_name, point in points:
-            profile = get_app(app_name)
-            image = build_image(profile, point, config, scale)
-            kernel = build_kernel(profile, config, scale)
-            factory, regs = _make_caba_factory(
-                point, config, CabaParams(), plane=image.plane
-            )
+    modes = [("reference", plain_scan), ("core", contextlib.nullcontext)]
+    out: dict = {"scale_work": work, "points": {}}
+    for app_name, point in points:
+        profile = get_app(app_name)
+        image = build_image(profile, point, config, scale)
+        kernel = build_kernel(profile, config, scale)
+        factory, regs = _make_caba_factory(
+            point, config, CabaParams(), plane=image.plane
+        )
 
-            def one_run(flag: str) -> tuple[float, int]:
-                os.environ["REPRO_SOA"] = flag
+        def one_run(mode) -> tuple[float, int]:
+            with mode():
                 sim = Simulator(
                     config, kernel, point, image,
                     caba_factory=factory,
@@ -158,41 +171,31 @@ def bench_cycle_loop(repeats: int, work: float) -> dict:
                 result = sim.run()
                 return time.perf_counter() - start, result.stats.cycles
 
-            # Warm the shared per-line compression caches (first touch
-            # of the image is compression work, not simulation).
-            one_run(modes[-1][1])
-            best = {name: float("inf") for name, _ in modes}
-            cycles = {}
-            for _ in range(repeats):
-                for name, flag in modes:
-                    elapsed, cyc = one_run(flag)
-                    best[name] = min(best[name], elapsed)
-                    cycles[name] = cyc
-            if numpy_ok and cycles["soa"] != cycles["reference"]:
-                raise AssertionError(
-                    f"{app_name}-{point.name}: SoA and reference modes "
-                    f"disagree on simulated cycles "
-                    f"({cycles['soa']} vs {cycles['reference']})"
-                )
-            entry = {
-                "cycles": cycles["reference"],
-                "reference_seconds": round(best["reference"], 4),
-            }
-            if numpy_ok:
-                entry["soa_seconds"] = round(best["soa"], 4)
-                entry["speedup"] = round(
-                    best["reference"] / best["soa"], 3
-                )
-            out["points"][f"{app_name}-{point.name}"] = entry
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_SOA", None)
-        else:
-            os.environ["REPRO_SOA"] = prior
-    if numpy_ok:
-        out["speedup_geomean"] = round(
-            geomean(e["speedup"] for e in out["points"].values()), 3
-        )
+        # Warm the shared per-line compression caches (first touch
+        # of the image is compression work, not simulation).
+        one_run(contextlib.nullcontext)
+        best = {name: float("inf") for name, _ in modes}
+        cycles = {}
+        for _ in range(repeats):
+            for name, mode in modes:
+                elapsed, cyc = one_run(mode)
+                best[name] = min(best[name], elapsed)
+                cycles[name] = cyc
+        if cycles["core"] != cycles["reference"]:
+            raise AssertionError(
+                f"{app_name}-{point.name}: issue core and plain scan "
+                f"disagree on simulated cycles "
+                f"({cycles['core']} vs {cycles['reference']})"
+            )
+        out["points"][f"{app_name}-{point.name}"] = {
+            "cycles": cycles["reference"],
+            "reference_seconds": round(best["reference"], 4),
+            "core_seconds": round(best["core"], 4),
+            "speedup": round(best["reference"] / best["core"], 3),
+        }
+    out["speedup_geomean"] = round(
+        geomean(e["speedup"] for e in out["points"].values()), 3
+    )
     return out
 
 
@@ -367,10 +370,9 @@ def bench_engine_dispatch(repeats: int) -> dict:
 def check_runner(record: dict, baseline: dict) -> list[str]:
     """Gates: tracing-disabled sim time within 3% of the checked-in
     baseline (the observability layer must be free when off); per-future
-    engine dispatch within 3% of the pool.map baseline; the SoA
-    machinery must not regress the pure-Python cycle loop by more than
-    3%; and, with numpy, the vectorized core must hold the 2x per-run
-    speedup acceptance floor."""
+    engine dispatch within 3% of the pool.map baseline; the plain-scan
+    cycle loop must not regress by more than 3%; and the issue core
+    must hold the 2x per-run speedup acceptance floor."""
     failures = []
     sim_record = record.get("sim", {})
     baseline_sim = baseline.get("sim", {})
@@ -396,17 +398,17 @@ def check_runner(record: dict, baseline: dict) -> list[str]:
         base = base_points.get(key)
         if base and entry["reference_seconds"] > 1.03 * base["reference_seconds"]:
             failures.append(
-                f"{key} pure-path cycle loop "
+                f"{key} plain-scan cycle loop "
                 f"{entry['reference_seconds']:.3f}s exceeds 3% budget "
                 f"over baseline {base['reference_seconds']:.3f}s "
                 f"({entry['reference_seconds'] / base['reference_seconds'] - 1:+.1%})"
             )
-    if cyc.get("numpy"):
+    if cyc:
         gm = cyc.get("speedup_geomean", 0.0)
         if gm < 2.0:
             failures.append(
-                f"SoA per-run speedup geomean {gm:.2f}x is below the "
-                f"2.0x acceptance floor"
+                f"issue-core per-run speedup geomean {gm:.2f}x is below "
+                f"the 2.0x acceptance floor"
             )
     trace = record.get("trace_overhead", {})
     for key, entry in sorted(trace.items()):

@@ -46,9 +46,10 @@ LOW = 1
 class ActiveAssistWarp:
     """One live AWT entry: a triggered assist-warp instance."""
 
-    #: Assist warps are never mirrored into the SoA arrays; the shared
-    #: issue paths (``SM._hold_registers``) test this before syncing.
-    soa = None
+    #: Assist warps are not scanned by the parent issue core, so their
+    #: register state never invalidates a scheduler memo; the shared
+    #: issue paths (``SM._hold_registers``) skip ``touch`` for them.
+    seq = None
 
     __slots__ = (
         "parent",
@@ -350,8 +351,7 @@ class CabaController(AssistController):
             # (Section 4.2.1).
             if not entry.owner.finished:
                 entry.owner.assist_block += 1
-                if entry.owner.soa is not None:
-                    touch(entry.owner)
+                touch(entry.owner)
                 aw.blocking = True
             self._high[entry.owner.sched].append(aw)
         else:
@@ -503,8 +503,7 @@ class CabaController(AssistController):
     def _unblock(self, aw: ActiveAssistWarp) -> None:
         if aw.blocking:
             aw.parent.assist_block -= 1
-            if aw.parent.soa is not None:
-                touch(aw.parent)
+            touch(aw.parent)
             aw.blocking = False
 
     def _cancel(self, aw: ActiveAssistWarp) -> None:

@@ -91,9 +91,10 @@ class MemoParams:
 
 
 class _ActiveMemo:
-    #: Assist warps are never mirrored into the SoA arrays (see
-    #: repro.gpu.warp.touch).
-    soa = None
+    #: Assist warps are not scanned by the parent issue core, so their
+    #: register state never invalidates a scheduler memo; the shared
+    #: issue paths (``SM._hold_registers``) skip ``touch`` for them.
+    seq = None
 
     __slots__ = ("parent", "program", "pc", "deployed", "pending_mask",
                  "task", "line", "cancelled", "blocking", "signature",
@@ -156,8 +157,7 @@ class MemoizationController(AssistController):
                              signature, region_len)
         assist.blocking = True
         warp.assist_block += 1
-        if warp.soa is not None:
-            touch(warp)
+        touch(warp)
         self._high[warp.sched].append(assist)
         self.stats.lookups += 1
 
@@ -246,8 +246,7 @@ class MemoizationController(AssistController):
             if warp.iteration >= warp.program.iterations:
                 warp.finished = True
                 finished = True
-        if warp.soa is not None:
-            touch(warp)
+        touch(warp)
         if finished:
             # Route through the SM so block-completion bookkeeping
             # (warp counts, block retirement) stays consistent.
@@ -256,6 +255,5 @@ class MemoizationController(AssistController):
     def _unblock(self, assist: _ActiveMemo) -> None:
         if assist.blocking:
             assist.parent.assist_block -= 1
-            if assist.parent.soa is not None:
-                touch(assist.parent)
+            touch(assist.parent)
             assist.blocking = False

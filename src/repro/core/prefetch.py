@@ -85,9 +85,10 @@ class _Stream:
 
 
 class _ActivePrefetch:
-    #: Assist warps are never mirrored into the SoA arrays (see
-    #: repro.gpu.warp.touch).
-    soa = None
+    #: Assist warps are not scanned by the parent issue core, so their
+    #: register state never invalidates a scheduler memo; the shared
+    #: issue paths (``SM._hold_registers``) skip ``touch`` for them.
+    seq = None
 
     __slots__ = ("parent", "program", "pc", "deployed", "pending_mask",
                  "task", "line", "cancelled", "blocking", "targets")

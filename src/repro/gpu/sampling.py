@@ -5,7 +5,7 @@ cycle of every SM runs in detail. This module trades a bounded amount of
 accuracy for asymptotic speed by alternating:
 
 * **detailed intervals** — ``warmup + measure`` cycles of full
-  execution (SoA or reference path, stats/ledger charging, real memory
+  execution (the same issue core, stats/ledger charging, real memory
   timing), exactly as the exact simulator would run them; then
 * **skipped intervals** — ``skip`` cycles whose issue slots and stall
   mix are *extrapolated* from the rates observed during the most recent
@@ -536,8 +536,7 @@ class SamplingController:
             stats.register_reads += rreads
             stats.register_writes += rwrites
             total += instrs
-            if warp.soa is not None:
-                touch(warp)
+            touch(warp)
         for warp in finishers:
             sm._on_warp_finished(warp)
         return total

@@ -15,6 +15,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 from repro.design import DesignPoint
@@ -23,13 +24,13 @@ from repro.gpu.kernel import Kernel
 from repro.gpu.occupancy import Occupancy, compute_occupancy
 from repro.gpu.sampling import SampleConfig, SamplingController
 from repro.gpu.sm import SM
-from repro.gpu.soa import SoAState, soa_enabled
 from repro.gpu.stats import SimStats
-from repro.gpu.warp import BlockContext, SoAWarpContext, WarpContext
+from repro.gpu.warp import BlockContext, WarpContext
 from repro.memory.hierarchy import MemorySystem
 from repro.memory.image import MemoryImage
 
 _INF = float("inf")
+_WAKE_HINT = attrgetter("_wake_hint")
 
 
 @dataclass
@@ -143,18 +144,6 @@ class Simulator:
         self._sample = sample
         self._has_caba = caba_factory is not None
 
-        # Vectorized warp-state mirror (REPRO_SOA, default on with
-        # numpy). Must exist before the initial blocks are dispatched:
-        # warps are constructed as SoA-backed from the start.
-        self._soa = None
-        cap = self.occupancy.blocks_per_sm * kernel.warps_per_block
-        if cap > 0 and soa_enabled():
-            self._soa = SoAState(
-                config.n_sms, config.schedulers_per_sm, cap, kernel.program
-            )
-            for sm in self.sms:
-                sm.attach_soa(self._soa)
-
         self._pending_blocks: deque[int] = deque(range(kernel.n_blocks))
         self._blocks_retired = 0
         self._fill_initial_blocks()
@@ -187,17 +176,9 @@ class Simulator:
         block_id = self._pending_blocks.popleft()
         block = BlockContext(block_id)
         program = self.kernel.program
-        soa = self._soa
         for w in range(self.kernel.warps_per_block):
             index = self.kernel.warp_linear_index(block_id, w)
-            if soa is None:
-                warp = WarpContext(index, block, program, 0)
-            else:
-                warp = SoAWarpContext(
-                    soa, soa.alloc(sm.sm_id, program), index, block,
-                    program, 0,
-                )
-            block.warps.append(warp)
+            block.warps.append(WarpContext(index, block, program, 0))
         sm.add_block(block)
 
     def _on_block_retired(self, sm: SM) -> None:
@@ -246,11 +227,7 @@ class Simulator:
         cycles = self._event_cycles
         buckets = self._event_buckets
         heappop = heapq.heappop
-        sms = self.sms
-        if self._soa is not None:
-            ticks = [sm.tick_soa for sm in sms]
-        else:
-            ticks = [sm.tick for sm in sms]
+        ticks = [sm.tick for sm in self.sms]
         ff = self._ff_enabled
         while not self.done:
             cycle = self._cycle
@@ -304,14 +281,12 @@ class Simulator:
         """
         wake = float(self._event_cycles[0]) if self._event_cycles else _INF
         cycle = self._cycle
-        soa = self._soa
-        if soa is not None and not self._has_caba:
+        if not self._has_caba:
             # Without a CABA controller every SM's next_wake is exactly
-            # its last tick's wake hint, mirrored into the SoA wake
-            # list at the end of tick_soa — one batched min replaces
-            # the per-SM next_wake calls.
+            # its last tick's wake hint — one batched min replaces the
+            # per-SM next_wake calls.
             if wake > cycle:
-                hint = min(soa.wake)
+                hint = min(map(_WAKE_HINT, self.sms))
                 if hint < wake:
                     wake = hint
         else:

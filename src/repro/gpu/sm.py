@@ -19,7 +19,7 @@ import math
 from typing import Callable
 
 from repro.gpu.config import GPUConfig
-from repro.gpu.isa import Instr, MemSpace, OpKind
+from repro.gpu.isa import Instr, MemSpace, OpKind, Program
 from repro.gpu.stats import STATE_ONLY_SLOTS, Slot, SmStats, UNIT_SLOTS
 from repro.gpu.warp import BlockContext, WarpContext, touch
 from repro.memory.hierarchy import MEM_SRC_DRAM, MEM_SRC_L1, MemorySystem
@@ -63,16 +63,60 @@ _CAT_IDLE = int(StallCat.IDLE)
 #: Refined category -> Figure-1 slot (indexable by the plain ints above).
 _CAT_SLOT = SLOT_OF_CAT
 
-#: Figure-1 slot -> stall-memo tier for the vectorized core: 0 = not
-#: memoizable (an instruction issued), 1 = valid while the scheduler's
-#: warp state is unchanged, 2 = additionally requires unchanged
-#: execution-unit/MSHR state.
+#: Figure-1 slot -> stall-memo tier: 0 = not memoizable (an instruction
+#: issued), 1 = valid while the scheduler's warp state is unchanged,
+#: 2 = additionally requires unchanged execution-unit/MSHR state.
 _MEMO_KIND = tuple(
     1 if slot in STATE_ONLY_SLOTS else (2 if slot in UNIT_SLOTS else 0)
     for slot in Slot
 )
 
+#: Instruction classes (per pc, see ``issue_tables``): the execution
+#: unit whose reservation every issue path for that op kind checks
+#: before any side effect. When that unit is busy the scan can skip the
+#: issue attempt entirely — the status and wake hint the attempt would
+#: have produced are determined by the class alone.
+KLASS_ANY = 0  # always structurally issuable (light ALU, SYNC, MEMO)
+KLASS_MEM = 1  # STORE / on-chip LOAD: gated on the LSU port
+KLASS_SFU = 2  # gated on the SFU initiation interval
+KLASS_HEAVY = 3  # long-latency ALU: gated on the narrow heavy pipe
+#: Global LOAD: gated on the LSU port, then on the armed per-warp MSHR
+#: pre-check (same instruction, MSHR state untouched since the last
+#: failed attempt -> fails again, side-effect free).
+KLASS_GLOAD = 4
+
 _INF = float("inf")
+
+
+def _klass(instr: Instr) -> int:
+    kind = instr.kind
+    if kind is OpKind.LOAD and instr.space is MemSpace.GLOBAL:
+        return KLASS_GLOAD
+    if kind is OpKind.LOAD or kind is OpKind.STORE:
+        return KLASS_MEM
+    if kind is OpKind.SFU:
+        return KLASS_SFU
+    if kind is OpKind.ALU and instr.latency >= HEAVY_ALU_LATENCY:
+        return KLASS_HEAVY
+    return KLASS_ANY
+
+
+def issue_tables(program: Program) -> tuple[list[int], list[int]]:
+    """Per-pc issue-scan tables for ``program``: the registers each
+    instruction waits on (the scoreboard check is ``pending & need``)
+    and its instruction class."""
+    body = program.body
+    return (
+        [instr.src_mask | instr.dst_mask for instr in body],
+        [_klass(instr) for instr in body],
+    )
+
+
+def plain_tables(size: int) -> tuple[list[int], list[int]]:
+    """Tables that screen nothing: every live warp takes the full
+    ``SM._try_issue`` path, which does its own scoreboard and unit
+    checks."""
+    return [0] * size, [KLASS_ANY] * size
 
 
 class SM:
@@ -132,9 +176,14 @@ class SM:
         self._pend_wid: list[int] = [NO_WARP] * n
         self._pend_n: list[int] = [0] * n
 
-        #: Vectorized-core state (repro.gpu.soa); None = reference path.
-        self._soa = None
-        self._gid0 = 0
+        #: Per-scheduler invalidation counters, bumped by every mutation
+        #: of a scheduler's warp set or of scan-visible warp state
+        #: (repro.gpu.warp.touch).
+        self._seq: list[int] = [0] * n
+        #: Per-pc issue tables of the resident program (issue_tables).
+        self._program: Program | None = None
+        self._need: list[int] = []
+        self._klass: list[int] = []
         #: Per-scheduler stall memos, rebuilt by every scanned slot:
         #: (seq, cat, warp_id, kind, lsu_free, sfu_free, heavy_free,
         #:  mshr_epoch, expiry_cycle, scan_wake_hint); mshr_epoch -1
@@ -151,12 +200,6 @@ class SM:
         before the first tick so attribution is complete)."""
         self._ledger = obs.ledger
 
-    def attach_soa(self, soa) -> None:
-        """Adopt the vectorized issue path (``tick_soa``); must be
-        called before any block is dispatched."""
-        self._soa = soa
-        self._gid0 = self.sm_id * self.config.schedulers_per_sm
-
     # ------------------------------------------------------------------
     # Block / warp management
     # ------------------------------------------------------------------
@@ -165,15 +208,26 @@ class SM:
         self.resident_blocks.append(block)
         n = self.config.schedulers_per_sm
         for warp in block.warps:
+            if warp.program is not self._program:
+                self._load_program(warp.program)
             warp.sched = self._age_counter % n
             warp.age = self._age_counter
+            warp.seq = self._seq
+            touch(warp)  # its scheduler's warp set grew
             self._age_counter += 1
             self.sched_warps[warp.sched].append(warp)
-        soa = self._soa
-        if soa is not None:
-            gid0 = self._gid0
-            for warp in block.warps:
-                soa.bind(warp.slot, gid0 + warp.sched)
+
+    def _load_program(self, program: Program) -> None:
+        """Build the issue tables for a newly resident program. A kernel
+        launch runs one program; warps of several programs on one SM
+        (hand-built harnesses) get tables that screen nothing."""
+        if self._program is None:
+            self._need, self._klass = issue_tables(program)
+        else:
+            self._need, self._klass = plain_tables(
+                max(len(self._need), len(program.body))
+            )
+        self._program = program
 
     def _retire_block(self, block: BlockContext) -> None:
         if block.retired:
@@ -186,15 +240,8 @@ class SM:
             self.sched_warps[s] = [w for w in warps if w not in retired]
             if self._current[s] in retired:
                 self._current[s] = None
-        soa = self._soa
-        if soa is not None:
-            # Free the slots before on_block_retired may dispatch a
-            # replacement block into them. detach() first: late
-            # register-release events on these warps must not write
-            # into a reassigned slot.
-            for warp in block.warps:
-                warp.detach()
-                soa.release(warp.slot)
+        for warp in block.warps:
+            touch(warp)  # its scheduler's warp set shrank
         self.on_block_retired(self)
 
     def _check_block_drain(self, warp: WarpContext) -> None:
@@ -202,53 +249,21 @@ class SM:
         if block.all_finished and not block.retired and block.drained:
             self._retire_block(block)
 
-    @property
-    def resident_warps(self) -> int:
-        return sum(len(w) for w in self.sched_warps)
-
     # ------------------------------------------------------------------
     # Main per-cycle step
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> int:
-        """Run one cycle; returns the number of instructions issued."""
-        self.now = cycle
-        self._wake_hint = _INF
-        caba = self.caba
-        if caba is not None:
-            caba.tick(cycle)
-        issued = 0
-        slots = self.stats.slots
-        last = self._last_slots
-        ledger = self._ledger
-        n_sched = self.config.schedulers_per_sm
-        for s in range(n_sched):
-            cat = self._issue_slot(s, cycle)
-            if ledger is not None:
-                cat = self._charge(ledger, s, cat)
-            slot = _CAT_SLOT[cat]
-            slots[slot] += 1
-            last[s] = slot
-            if slot is Slot.ACTIVE:
-                issued += 1
-        if caba is not None:
-            caba.observe(issued, n_sched)
-        return issued
+        """Run one cycle; returns the number of instructions issued.
 
-    def tick_soa(self, cycle: int) -> int:
-        """``tick`` for the vectorized core: byte-identical observable
-        behaviour, but a scheduler slot is classified without a warp
-        scan wherever a memoized outcome is provably still valid, and
-        scans that do run pre-screen their warps against the batched
-        SoA scoreboard pass instead of attempting issue per warp.
-
-        A memo is valid while the scheduler's seq counter is unchanged
-        (tier 1: scoreboard/idle outcomes) and, for unit-gated stalls
-        (tier 2), while the LSU/SFU/heavy-ALU reservations and the SM's
-        MSHR epoch are also unchanged and no reserved unit has freed up
-        (``expiry``). Assist warps still get their reference-order
-        chance at every slot — ``issue_high``/``issue_low`` rotate
-        their queues and consume unit state even on stall cycles, so
-        they are re-run for real, never replayed.
+        A scheduler slot is classified without a warp scan wherever a
+        memoized outcome is provably still valid. A memo is valid while
+        the scheduler's seq counter is unchanged (tier 1: scoreboard/
+        idle outcomes) and, for unit-gated stalls (tier 2), while the
+        LSU/SFU/heavy-ALU reservations and the SM's MSHR epoch are also
+        unchanged and no reserved unit has freed up (``expiry``). Assist
+        warps still get their chance at every slot — ``issue_high``/
+        ``issue_low`` rotate their queues and consume unit state even on
+        stall cycles, so they are re-run for real, never replayed.
         """
         self.now = cycle
         self._wake_hint = _INF
@@ -263,14 +278,11 @@ class SM:
         pend_cat = self._pend_cat
         pend_wid = self._pend_wid
         n_sched = self.config.schedulers_per_sm
-        soa = self._soa
-        seq = soa.seq
+        seq = self._seq
         memos = self._memos
-        gid0 = self._gid0
         for s in range(n_sched):
-            g = gid0 + s
             m = memos[s]
-            if m is not None and m[0] == seq[g] and (
+            if m is not None and m[0] == seq[s] and (
                 m[3] == 1
                 or (
                     self._lsu_free == m[4]
@@ -320,15 +332,7 @@ class SM:
                 slots[slot] += 1
                 last[s] = slot
                 continue
-            screen = soa.screen(g, cycle)
-            if screen is None:
-                # Scheduler state changed after this cycle's screen was
-                # computed (an earlier slot issued, a barrier released,
-                # a block dispatched): run the reference scan verbatim.
-                self._scan_safe = False
-                cat = self._issue_slot(s, cycle)
-            else:
-                cat = self._issue_slot_soa(s, cycle, screen)
+            cat = self._issue_slot(s, cycle)
             if ledger is not None:
                 cat = self._charge(ledger, s, cat)
             slot = _CAT_SLOT[cat]
@@ -344,7 +348,7 @@ class SM:
                 # state. No structural candidate was reached, so the
                 # parent scan contributed no wake hint.
                 wid = self._last_cats[s][1] if ledger is not None else NO_WARP
-                memos[s] = (seq[g], cat, wid, 1, 0, 0, 0, 0, 0, _INF)
+                memos[s] = (seq[s], cat, wid, 1, 0, 0, 0, 0, 0, _INF)
             elif kind == 2 and self._scan_safe:
                 lsu = self._lsu_free
                 sfu = self._sfu_free
@@ -362,7 +366,7 @@ class SM:
                 # LSU-port gate (or there were none), which an epoch
                 # bump cannot change. -1 marks the memo epoch-free.
                 memos[s] = (
-                    seq[g], cat, wid, 2, lsu, sfu, heavy,
+                    seq[s], cat, wid, 2, lsu, sfu, heavy,
                     self.memory.mshr_epoch[self.sm_id]
                     if cat == _CAT_MSHR_FULL else -1,
                     expiry, self._scan_hint,
@@ -371,20 +375,24 @@ class SM:
                 memos[s] = None
         if caba is not None:
             caba.observe(issued, n_sched)
-        soa.wake[self.sm_id] = self._wake_hint
         return issued
 
-    def _issue_slot_soa(self, s: int, cycle: int, screen: list[int]) -> int:
-        """``_issue_slot`` with the per-warp scoreboard checks replaced
-        by the pre-computed screen codes: ``< SCREEN_BLOCKED`` is a
-        candidate (the code is its instruction class), ``< 32`` is
-        scoreboard-blocked, the rest are finished/barrier/assist-gated.
+    #: The benchmark tracer (perfbench/tracing.py) wraps this name too;
+    #: it is the only user of the alias.
+    tick_soa = tick
 
-        Unit reservations cannot change across a scan's *failed*
-        attempts, so the structural gates every issue path checks first
-        are hoisted out of the per-candidate work: a candidate whose
-        class targets a busy unit is skipped with exactly the status
-        and wake hint its issue attempt would have produced.
+    def _issue_slot(self, s: int, cycle: int) -> int:
+        """Classify scheduler ``s``'s issue slot, issuing if it can.
+
+        Warps are screened inline from the per-pc tables: a finished,
+        barrier-parked or assist-gated warp is skipped; one whose next
+        instruction waits on a pending register is a scoreboard stall;
+        any other warp is a candidate whose instruction class names the
+        unit gating it. Unit reservations cannot change across a scan's
+        *failed* attempts, so those structural gates are hoisted out of
+        the per-candidate work: a candidate whose class targets a busy
+        unit is skipped with exactly the status and wake hint its issue
+        attempt would have produced.
 
         Also separates the parent scan's wake-hint contribution from
         assist-warp attempts (``_scan_hint``) and records whether the
@@ -401,6 +409,8 @@ class SM:
         h0 = self._wake_hint
         self._wake_hint = _INF
         saw = 0
+        need = self._need
+        klass = self._klass
         lsu_free = self._lsu_free
         lsu_busy = lsu_free > cycle
         sfu_free = self._sfu_free
@@ -408,131 +418,59 @@ class SM:
         heavy_free = self._heavy_alu_free
         heavy_busy = heavy_free > cycle
         mshr_epoch = self.memory.mshr_epoch[self.sm_id]
-        current = self._current[s] if self._greedy else None
-        # A stale greedy current whose block has retired is detached
-        # from the arrays (its slot may have been reassigned); it is
-        # finished, so the reference scan would skip it too.
-        if current is not None and current.soa is not None:
-            code = screen[current.slot]
-            if code < 16:
-                if (code == 1 or code == 4) and lsu_busy:
-                    saw = _SAW_LSU
-                    if lsu_free < self._wake_hint:
-                        self._wake_hint = lsu_free
-                elif code == 4 and (
-                    current.mshr_fail_epoch == mshr_epoch
-                    and current.coal_key == (current.pc, current.iteration)
-                ):
-                    saw = _SAW_MSHR
-                elif code == 2 and sfu_busy:
-                    saw = _SAW_ALU
-                    if sfu_free < self._wake_hint:
-                        self._wake_hint = sfu_free
-                elif code == 3 and heavy_busy:
-                    saw = _SAW_ALU
-                    if heavy_free < self._wake_hint:
-                        self._wake_hint = heavy_free
-                else:
-                    status = self._try_issue(current, cycle)
-                    if status == _OK:
-                        self._attr_warp = current.global_index
-                        self._merge_scan_hint(h0)
-                        return _CAT_ISSUE
-                    saw = 1 << status
-                    if status == _STRUCT_MSHR and (
-                        current.mshr_fail_epoch != mshr_epoch
-                    ):
-                        self._scan_safe = False
-            elif code < 32:
-                saw = _SAW_DEP
         warps = self.sched_warps[s]
-        n = len(warps)
-        if self._greedy:
-            for warp in warps:
-                if warp is current:
-                    continue
-                code = screen[warp.slot]
-                if code:
-                    if code >= 32:
-                        continue
-                    if code >= 16:
-                        saw |= _SAW_DEP
-                        continue
-                    if code == 4:
-                        if lsu_busy:
-                            saw |= _SAW_LSU
-                            if lsu_free < self._wake_hint:
-                                self._wake_hint = lsu_free
-                            continue
-                        if warp.mshr_fail_epoch == mshr_epoch and (
-                            warp.coal_key == (warp.pc, warp.iteration)
-                        ):
-                            saw |= _SAW_MSHR
-                            continue
-                    elif code == 1:
-                        if lsu_busy:
-                            saw |= _SAW_LSU
-                            if lsu_free < self._wake_hint:
-                                self._wake_hint = lsu_free
-                            continue
-                    elif code == 2:
-                        if sfu_busy:
-                            saw |= _SAW_ALU
-                            if sfu_free < self._wake_hint:
-                                self._wake_hint = sfu_free
-                            continue
-                    elif heavy_busy:  # code == 3
-                        saw |= _SAW_ALU
-                        if heavy_free < self._wake_hint:
-                            self._wake_hint = heavy_free
-                        continue
-                status = self._try_issue(warp, cycle)
-                if status == _OK:
-                    self._current[s] = warp
-                    self._attr_warp = warp.global_index
-                    self._merge_scan_hint(h0)
-                    return _CAT_ISSUE
-                saw |= 1 << status
-                if status == _STRUCT_MSHR and (
-                    warp.mshr_fail_epoch != mshr_epoch
-                ):
-                    self._scan_safe = False
+        greedy = self._greedy
+        current = self._current[s] if greedy else None
+        # Each pass is (warps, warp to skip).
+        if current is not None:
+            # GTO: stay greedy on the current warp until it stalls, then
+            # fall back to the others oldest-first.
+            passes = (((current,), None), (warps, current))
+        elif greedy:
+            passes = ((warps, None),)
         else:
-            # LRR never has a greedy current warp.
-            start = self._rr[s] % max(1, n)
-            for k in range(n):
-                warp = warps[(start + k) % n]
-                code = screen[warp.slot]
-                if code:
-                    if code >= 32:
-                        continue
-                    if code >= 16:
-                        saw |= _SAW_DEP
-                        continue
-                    if code == 4:
+            # LRR: start after the warp that issued last.
+            start = self._rr[s] % max(1, len(warps))
+            passes = ((warps[start:] + warps[:start], None),)
+        for group, skip in passes:
+            for warp in group:
+                if (
+                    warp is skip
+                    or warp.finished
+                    or warp.at_barrier
+                    or warp.assist_block
+                ):
+                    continue
+                pc = warp.pc
+                if warp.pending_mask & need[pc]:
+                    saw |= _SAW_DEP
+                    continue
+                code = klass[pc]
+                if code:  # KLASS_ANY needs no unit gate
+                    if code == KLASS_GLOAD:
                         if lsu_busy:
                             saw |= _SAW_LSU
                             if lsu_free < self._wake_hint:
                                 self._wake_hint = lsu_free
                             continue
                         if warp.mshr_fail_epoch == mshr_epoch and (
-                            warp.coal_key == (warp.pc, warp.iteration)
+                            warp.coal_key == (pc, warp.iteration)
                         ):
                             saw |= _SAW_MSHR
                             continue
-                    elif code == 1:
+                    elif code == KLASS_MEM:
                         if lsu_busy:
                             saw |= _SAW_LSU
                             if lsu_free < self._wake_hint:
                                 self._wake_hint = lsu_free
                             continue
-                    elif code == 2:
+                    elif code == KLASS_SFU:
                         if sfu_busy:
                             saw |= _SAW_ALU
                             if sfu_free < self._wake_hint:
                                 self._wake_hint = sfu_free
                             continue
-                    elif heavy_busy:  # code == 3
+                    elif heavy_busy:  # KLASS_HEAVY
                         saw |= _SAW_ALU
                         if heavy_free < self._wake_hint:
                             self._wake_hint = heavy_free
@@ -540,8 +478,9 @@ class SM:
                 status = self._try_issue(warp, cycle)
                 if status == _OK:
                     self._current[s] = warp
+                    if not greedy:
+                        self._rr[s] = (warps.index(warp) + 1) % len(warps)
                     self._attr_warp = warp.global_index
-                    self._rr[s] = (start + k + 1) % max(1, n)
                     self._merge_scan_hint(h0)
                     return _CAT_ISSUE
                 saw |= 1 << status
@@ -553,6 +492,8 @@ class SM:
         if caba is not None and caba.issue_low(s, cycle):
             self._attr_warp = ASSIST_WARP
             return _CAT_ASSIST
+        # Priority order matches the coarse Figure-1 classification
+        # (memory > compute > dependence).
         if saw & _SAW_MEM:
             return _CAT_MSHR_FULL if saw & _SAW_MSHR else _CAT_LSU
         if saw & _SAW_ALU:
@@ -630,79 +571,6 @@ class SM:
         return self._wake_hint
 
     # ------------------------------------------------------------------
-    # Issue-slot logic
-    # ------------------------------------------------------------------
-    def _issue_slot(self, s: int, cycle: int) -> int:
-        caba = self.caba
-        if caba is not None and caba.issue_high(s, cycle):
-            self._attr_warp = ASSIST_WARP
-            return _CAT_ASSIST
-
-        saw = 0
-        current = self._current[s] if self._greedy else None
-        # can_consider() is inlined as attribute checks below: this is
-        # the hottest loop in the simulator and the method-call overhead
-        # dominated it under profile.
-        if current is not None and not (
-            current.finished or current.at_barrier or current.assist_block
-        ):
-            # GTO: stay greedy on the current warp until it stalls.
-            status = self._try_issue(current, cycle)
-            if status == _OK:
-                self._attr_warp = current.global_index
-                return _CAT_ISSUE
-            saw |= 1 << status
-        warps = self.sched_warps[s]
-        n = len(warps)
-        if self._greedy:
-            for warp in warps:
-                if (
-                    warp is current
-                    or warp.finished
-                    or warp.at_barrier
-                    or warp.assist_block
-                ):
-                    continue
-                status = self._try_issue(warp, cycle)
-                if status == _OK:
-                    self._current[s] = warp
-                    self._attr_warp = warp.global_index
-                    return _CAT_ISSUE
-                saw |= 1 << status
-        else:
-            start = self._rr[s] % max(1, n)
-            for k in range(n):
-                warp = warps[(start + k) % n]
-                if (
-                    warp is current
-                    or warp.finished
-                    or warp.at_barrier
-                    or warp.assist_block
-                ):
-                    continue
-                status = self._try_issue(warp, cycle)
-                if status == _OK:
-                    self._current[s] = warp
-                    self._attr_warp = warp.global_index
-                    # LRR: next cycle starts after the warp that issued.
-                    self._rr[s] = (start + k + 1) % max(1, n)
-                    return _CAT_ISSUE
-                saw |= 1 << status
-
-        if caba is not None and caba.issue_low(s, cycle):
-            self._attr_warp = ASSIST_WARP
-            return _CAT_ASSIST
-        # Priority order matches the coarse Figure-1 classification
-        # (memory > compute > dependence), so SmStats.slots is unchanged.
-        if saw & _SAW_MEM:
-            return _CAT_MSHR_FULL if saw & _SAW_MSHR else _CAT_LSU
-        if saw & _SAW_ALU:
-            return _CAT_COMPUTE
-        if saw & _SAW_DEP:
-            return _CAT_SCOREBOARD
-        return _CAT_IDLE
-
-    # ------------------------------------------------------------------
     # Traced-path refinement (never reached with tracing off)
     # ------------------------------------------------------------------
     def _charge(self, ledger, s: int, cat: int) -> int:
@@ -719,7 +587,7 @@ class SM:
             # property of the SM, not of one warp.
             wid = NO_WARP
         self._last_cats[s] = (cat, wid)
-        # Inlined _charge_slot fast path (see tick_soa): consecutive
+        # Inlined _charge_slot fast path (see tick): consecutive
         # identical charges dominate, and this runs once per scheduler
         # per traced cycle.
         if (
@@ -776,8 +644,6 @@ class SM:
         elif kind is OpKind.SFU:
             status = self._issue_sfu(warp, instr, cycle)
         elif kind is OpKind.LOAD or kind is OpKind.STORE:
-            # _issue_memory's dispatch, inlined: replayed (stalled)
-            # memory instructions dominate this path.
             if instr.space is not MemSpace.GLOBAL:
                 status = self._issue_onchip_memory(warp, instr, cycle)
             elif kind is OpKind.LOAD:
@@ -831,22 +697,15 @@ class SM:
         if not dst_mask:
             return
         ctx.pending_mask |= dst_mask
-        if ctx.soa is not None:
+        if ctx.seq is not None:
             touch(ctx)
         def release() -> None:
             ctx.pending_mask &= ~dst_mask
-            if ctx.soa is not None:
+            if ctx.seq is not None:
                 touch(ctx)
         self.schedule(until, release)
 
     # --- Memory --------------------------------------------------------
-    def _issue_memory(self, warp: WarpContext, instr: Instr, cycle: int) -> int:
-        if instr.space is not MemSpace.GLOBAL:
-            return self._issue_onchip_memory(warp, instr, cycle)
-        if instr.kind is OpKind.LOAD:
-            return self._issue_global_load(warp, instr, cycle)
-        return self._issue_global_store(warp, instr, cycle)
-
     def _issue_onchip_memory(self, ctx, instr: Instr, cycle: int) -> int:
         """Shared-memory (and assist-warp L1-local) accesses: fixed latency."""
         if self._lsu_free > cycle:
@@ -902,8 +761,7 @@ class SM:
         if self.caba is not None:
             self.caba.on_global_load(warp, lines, cycle)
         warp.pending_mask |= instr.dst_mask
-        if warp.soa is not None:
-            touch(warp)
+        touch(warp)
         warp.outstanding_mem += 1
         if self._ledger is not None:
             # Deepest level any of this warp's fills travelled to; used
@@ -920,8 +778,7 @@ class SM:
             remaining -= 1
             if remaining == 0:
                 warp.pending_mask &= ~instr.dst_mask
-                if warp.soa is not None:
-                    touch(warp)
+                touch(warp)
                 warp.outstanding_mem -= 1
                 self._check_block_drain(warp)
 
@@ -998,8 +855,7 @@ class SM:
         self.stats.warps_finished += 1
         if warp.at_barrier:
             warp.at_barrier = False
-            if warp.soa is not None:
-                touch(warp)
+            touch(warp)
         block = warp.block
         if block.note_warp_finished():
             block.all_finished = True

@@ -33,9 +33,9 @@ SLOT_LABELS = {
 }
 
 #: Slots whose classification is a function of scheduler-visible warp
-#: state alone (scoreboard masks, barrier/assist gating). The
-#: vectorized core (repro.gpu.soa) may replay such a classification
-#: verbatim while that state is unchanged.
+#: state alone (scoreboard masks, barrier/assist gating). The issue
+#: core (repro.gpu.sm) may replay such a classification verbatim while
+#: that state is unchanged.
 STATE_ONLY_SLOTS = frozenset({Slot.DATA_STALL, Slot.IDLE})
 
 #: Slots additionally gated by shared execution-unit state (LSU/SFU/

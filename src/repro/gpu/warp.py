@@ -11,18 +11,11 @@ completes (Section 4.2.1: "stalls the progress of its parent warp").
 
 from __future__ import annotations
 
-from repro.gpu.isa import Instr, Program
+from repro.gpu.isa import Program
 
 
 class WarpContext:
     """Dynamic state of one resident warp."""
-
-    #: SoA mirror handle. ``None`` on the reference path (and on assist
-    #: warps); :class:`SoAWarpContext` overrides it with a real slot.
-    #: Mutation sites test ``warp.soa is not None`` before calling
-    #: :func:`touch`, so the reference path pays one class-attribute
-    #: read per state-changing event and nothing else.
-    soa = None
 
     __slots__ = (
         "global_index",
@@ -37,6 +30,7 @@ class WarpContext:
         "assist_block",
         "age",
         "sched",
+        "seq",
         "coal_key",
         "coal_lines",
         "mshr_fail_epoch",
@@ -61,6 +55,10 @@ class WarpContext:
         self.age = age
         #: Scheduler this warp is statically assigned to.
         self.sched = 0
+        #: Per-scheduler invalidation counters of the owning SM, indexed
+        #: by ``sched`` (see :func:`touch`); a private counter until
+        #: ``SM.add_block`` makes the warp resident.
+        self.seq: list[int] = [0]
         #: Memo for the coalescer: replayed memory instructions reuse
         #: their line list instead of regenerating addresses.
         self.coal_key: tuple[int, int] | None = None
@@ -74,10 +72,6 @@ class WarpContext:
         self.mem_source = 0
 
     # ------------------------------------------------------------------
-    @property
-    def current_instr(self) -> Instr:
-        return self.program.body[self.pc]
-
     def can_consider(self) -> bool:
         """Whether the scheduler should look at this warp at all."""
         return not (self.finished or self.at_barrier or self.assist_block > 0)
@@ -85,6 +79,7 @@ class WarpContext:
     def advance(self) -> bool:
         """Move past the just-issued instruction; True when the warp is
         executing its final instruction of the final iteration."""
+        self.seq[self.sched] += 1
         self.pc += 1
         if self.pc >= len(self.program.body):
             self.pc = 0
@@ -100,18 +95,18 @@ class WarpContext:
         return self.finished and self.outstanding_mem == 0
 
 
-def touch(warp) -> None:
-    """Write one warp's screen-visible state through to its SoA mirror
-    slot and invalidate the owning scheduler's memoized scan results.
+def touch(warp: WarpContext) -> None:
+    """Invalidate the memoized issue outcome of ``warp``'s scheduler.
 
-    Every site that mutates a tracked field (``pc``, ``pending_mask``,
-    ``finished``, ``at_barrier``, ``assist_block``) calls this — guarded
-    by ``warp.soa is not None`` so the reference path and detached
-    warps skip it with a single attribute read. The fields stay plain
+    Every site that mutates a field the issue scan reads (``pc``,
+    ``pending_mask``, ``finished``, ``at_barrier``, ``assist_block``)
+    calls this, so a scheduler's memo (``repro.gpu.sm``) is valid
+    exactly while its seq counter is unchanged. The fields stay plain
     slot attributes: an earlier property-based write-through doubled
     the cost of every hot-path *read* (the issue scan reads
     ``pending_mask``/``pc`` millions of times per run), whereas
-    mutations are comparatively rare events.
+    mutations are comparatively rare events. A late bump from a warp
+    whose block has retired only over-invalidates.
 
     Fields that never influence the issue scan or its traced
     refinements independently of a tracked field (``iteration``,
@@ -119,52 +114,7 @@ def touch(warp) -> None:
     ``mshr_fail_epoch``) are untracked: every behavioural write to
     them is adjacent to a tracked write on the same warp.
     """
-    soa = warp.soa
-    slot = warp.slot
-    soa.pending[slot] = warp.pending_mask
-    soa.pc[slot] = warp.pc
-    soa.inactive[slot] = (
-        1 if (warp.finished or warp.at_barrier or warp.assist_block) else 0
-    )
-    soa.seq[soa.gid_of[slot]] += 1
-
-
-class SoAWarpContext(WarpContext):
-    """A warp whose screen-visible state is mirrored into a
-    :class:`repro.gpu.soa.SoAState` slot.
-
-    The scheduler-facing contract is identical to :class:`WarpContext`
-    — same plain attributes, same costs on the read side. The mirror is
-    kept in sync by :func:`touch` calls at the mutation sites, plus the
-    :meth:`advance` override below for the hottest write (the program
-    counter moving past an issued instruction).
-    """
-
-    __slots__ = ("soa", "slot")
-
-    def __init__(self, soa, slot: int, global_index: int,
-                 block: "BlockContext", program: Program, age: int) -> None:
-        self.soa = soa
-        self.slot = slot
-        super().__init__(global_index, block, program, age)
-
-    def advance(self) -> bool:
-        finished = super().advance()
-        soa = self.soa
-        if soa is not None:
-            slot = self.slot
-            soa.pc[slot] = self.pc
-            if finished:
-                soa.inactive[slot] = 1
-            soa.seq[soa.gid_of[slot]] += 1
-        return finished
-
-    def detach(self) -> None:
-        """Disconnect from the arrays (called when the slot is
-        released). Late register-release events on retired warps keep
-        mutating the plain attributes, but must not write into a slot
-        that may already belong to a new warp."""
-        self.soa = None
+    warp.seq[warp.sched] += 1
 
 
 class BlockContext:
@@ -190,8 +140,7 @@ class BlockContext:
     def arrive_at_barrier(self, warp: WarpContext) -> bool:
         """Register a barrier arrival; True when the barrier releases."""
         warp.at_barrier = True
-        if warp.soa is not None:
-            touch(warp)
+        touch(warp)
         self.barrier_arrivals += 1
         # Finished warps never reach the barrier again; they count as
         # permanently arrived (CUDA semantics: exited threads do not
@@ -202,8 +151,7 @@ class BlockContext:
             for member in self.warps:
                 if member.at_barrier:
                     member.at_barrier = False
-                    if member.soa is not None:
-                        touch(member)
+                    touch(member)
             return True
         return False
 

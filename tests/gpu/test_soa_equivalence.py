@@ -1,24 +1,28 @@
-"""SoA-vs-reference equivalence suite.
+"""Issue-core vs. plain-scan equivalence suite.
 
-``REPRO_SOA`` selects between the vectorized warp-state core (numpy
-structure-of-arrays screen, memoized scans) and the pure-Python
-reference scan. The two are contractually byte-identical: same cycle
-counts, same per-SM slot accounting, same memory traffic, same figures.
-This suite pins that contract three ways:
+The simulator has one issue core (:mod:`repro.gpu.sm`): a per-scheduler
+scan that screens warps inline from per-pc tables (scoreboard need
+masks, instruction classes) and memoizes stall outcomes under seq
+counters. Its oracle is the same core with both accelerations switched
+off — ``_MEMO_KIND`` zeroed, so no slot outcome is ever replayed, and
+tables that screen nothing, so every live warp takes the full per-warp
+``_try_issue`` path. That is exactly the plain per-warp scan, and the
+two must agree byte for byte:
 
-* the reference mode must reproduce ``tests/fixtures/golden_stats.json``
-  byte-exactly (the fixture pins the default mode, so transitivity
-  gives SoA == reference over the full 3-app x 5-algorithm matrix);
-* both modes are compared head to head on representative workload runs,
-  down to the per-SM slot counters;
-* hypothesis-fuzzed kernels are run in both modes and compared.
-
-CI runs the whole test suite once per mode (``REPRO_SOA=0`` leg); this
-file is the targeted cross-mode check that works within a single leg.
+* the plain scan reproduces ``tests/fixtures/golden_stats.json``
+  byte-exactly (the fixture pins the core, so transitivity gives
+  core == plain scan over the 5-app x 5-algorithm matrix);
+* both are compared head to head on traced workload runs, down to the
+  stall ledger's per-(category, warp) charges;
+* hypothesis-fuzzed kernels, with and without assist warps, are run
+  both ways and compared;
+* over-invalidating every scheduler's memo on every ``touch`` leaves
+  results byte-identical (seq counters may only err towards a rescan).
 """
 
 import json
 import os
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -26,7 +30,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import design as designs
-from repro.gpu import soa as soa_mod
+from repro.gpu import sm as sm_mod
+from repro.gpu import warp as warp_mod
 from repro.gpu.config import GPUConfig
 from repro.harness.runner import clear_caches, run_app
 from repro.workloads.tracegen import TraceScale
@@ -41,25 +46,19 @@ from tests.harness.test_golden_stats import (
     _snapshot,
 )
 
-has_numpy = soa_mod.np is not None
-
 
 @contextmanager
-def soa_mode(flag: str):
-    """Force ``REPRO_SOA`` for the simulations inside the block."""
-    prior = os.environ.get("REPRO_SOA")
-    os.environ["REPRO_SOA"] = flag
-    try:
+def plain_scan():
+    """Run the simulations inside the block on the plain per-warp scan."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sm_mod, "_MEMO_KIND", (0,) * len(sm_mod._MEMO_KIND))
+        mp.setattr(sm_mod, "issue_tables",
+                   lambda program: sm_mod.plain_tables(len(program.body)))
         yield
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_SOA", None)
-        else:
-            os.environ["REPRO_SOA"] = prior
 
 
 def _fingerprint(result):
-    """Cross-mode comparable summary of a raw simulation result."""
+    """Comparable summary of a raw simulation result."""
     return {
         "cycles": result.cycles,
         "parent_instructions": result.stats.parent_instructions,
@@ -67,27 +66,29 @@ def _fingerprint(result):
         "slots": [list(sm.slots) for sm in result.stats.sms],
         "dram_reads": result.memory.stats.dram_reads,
         "dram_writes": result.memory.stats.dram_writes,
+        "stats_repr": repr(result.stats),
+        "sm_stats": [repr(sm.__dict__) for sm in result.stats.sms],
+        "obs": result.obs.export() if result.obs is not None else None,
     }
 
 
 # ----------------------------------------------------------------------
-# Reference mode vs. the golden fixture (full app/algorithm matrix)
+# Plain scan vs. the golden fixture (full app/algorithm matrix)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("app", APPS)
 def test_reference_mode_matches_golden(app, algorithm):
-    """The pure-Python scan reproduces the pinned stats byte-exactly.
+    """The plain per-warp scan reproduces the pinned stats byte-exactly.
 
-    The fixture is (re)generated under the default mode — SoA wherever
-    numpy is available — so this closes the loop: reference == golden
-    == SoA for every (app, algorithm) cell.
+    The fixture is generated by the memoized core, so this closes the
+    loop: plain scan == golden == core for every (app, algorithm) cell.
     """
     if os.environ.get("REPRO_REGEN_GOLDEN"):
         pytest.skip("fixture is being regenerated")
     golden = json.loads(Path(FIXTURE).read_text())
     key = f"{app}/{algorithm}"
     assert key in golden, f"fixture has no entry for {key}"
-    with soa_mode("0"):
+    with plain_scan():
         clear_caches()
         run = run_app(app, _design_for(algorithm), GPUConfig.small(),
                       scale=SCALE, use_cache=False)
@@ -95,101 +96,94 @@ def test_reference_mode_matches_golden(app, algorithm):
 
 
 # ----------------------------------------------------------------------
-# Head-to-head on representative workloads (per-SM granularity)
+# Head-to-head on representative traced workloads
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not has_numpy, reason="SoA mode needs numpy")
+def _traced_run(app, algorithm):
+    clear_caches()
+    run = run_app(app, _design_for(algorithm), GPUConfig.small(),
+                  scale=TraceScale(work=0.25, waves=0.25), use_cache=False,
+                  keep_raw=True, trace=True)
+    return _fingerprint(run.raw)
+
+
 @pytest.mark.parametrize("app,algorithm", [
     ("PVC", "bdi"),        # memory-bound, assist warps + decompression
     ("MM", "none"),        # compute-leaning baseline
     ("CONS", "bestofall"), # store-heavy, composed algorithm
 ])
 def test_modes_agree_head_to_head(app, algorithm):
-    scale = TraceScale(work=0.25, waves=0.25)
-    prints = {}
-    for flag in ("0", "1"):
-        with soa_mode(flag):
-            clear_caches()
-            run = run_app(app, _design_for(algorithm), GPUConfig.small(),
-                          scale=scale, use_cache=False, keep_raw=True)
-        prints[flag] = _fingerprint(run.raw)
-        prints[flag]["stats_repr"] = repr(run.raw.stats)
-    assert prints["0"] == prints["1"]
+    core = _traced_run(app, algorithm)
+    with plain_scan():
+        plain = _traced_run(app, algorithm)
+    assert core["obs"]["ledger"]["per_warp"], "run was not traced"
+    assert core == plain
 
 
 # ----------------------------------------------------------------------
-# Stale-screen fallback
+# Over-invalidation
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not has_numpy, reason="SoA mode needs numpy")
-def test_stale_seq_counter_falls_back_to_reference_scan(monkeypatch):
-    """A screen invalidated between compute and use must push the SM
-    onto the reference scan with byte-identical results.
-
-    The per-scheduler seq counters are the SoA core's only correctness
-    valve: any mutation of screen-visible state invalidates the batch
-    result and the scheduler re-scans in Python. Force the stale path
-    directly — bump half the schedulers' counters after every screen is
-    computed — and pin that the run is indistinguishable from a clean
-    SoA run (and hence from the reference mode)."""
+def test_over_invalidation_is_byte_identical(monkeypatch):
+    """A memo is only as good as its seq counter: bumping *every*
+    scheduler's counter on every ``touch`` (what a stray or late touch
+    from another warp does to one of them) forces extra rescans but
+    must never change a result."""
     scale = TraceScale(work=0.25, waves=0.25)
     design = _design_for("bdi")
 
     def run_once():
         clear_caches()
-        return run_app("PVC", design, GPUConfig.small(), scale=scale,
-                       use_cache=False, keep_raw=True).raw
+        return _fingerprint(run_app(
+            "PVC", design, GPUConfig.small(), scale=scale,
+            use_cache=False, keep_raw=True,
+        ).raw)
 
-    with soa_mode("1"):
-        clean = _fingerprint(run_once())
+    clean = run_once()
 
-    real_screen = soa_mod.SoAState.screen
-    fallbacks = [0]
+    touches = [0]
 
-    def stale_screen(self, gid, cycle):
-        real_screen(self, gid, cycle)  # compute + snapshot this cycle
-        if gid % 2 == 0:
-            # Mutation-after-compute: exactly what an event callback
-            # flipping a scoreboard bit between the batch pass and this
-            # scheduler's turn would do.
-            self.seq[gid] += 1
-        codes = real_screen(self, gid, cycle)
-        if codes is None:
-            fallbacks[0] += 1
-        return codes
+    def over_touch(warp):
+        touches[0] += 1
+        seq = warp.seq
+        for s in range(len(seq)):
+            seq[s] += 1
 
-    monkeypatch.setattr(soa_mod.SoAState, "screen", stale_screen)
-    with soa_mode("1"):
-        stale = _fingerprint(run_once())
+    # Every module that imported touch by name gets the over-eager one.
+    real_touch = warp_mod.touch
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro.")
+                and getattr(module, "touch", None) is real_touch):
+            monkeypatch.setattr(module, "touch", over_touch)
+    over = run_once()
     monkeypatch.undo()
 
-    assert fallbacks[0] > 0, "stale path never exercised"
-    assert stale == clean
+    assert touches[0] > 0, "touch was never called"
+    assert over == clean
 
 
 # ----------------------------------------------------------------------
-# Fuzzed kernels in both modes
+# Fuzzed kernels both ways
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not has_numpy, reason="SoA mode needs numpy")
 @settings(max_examples=10, deadline=None)
 @given(kinds=bodies, iterations=st.integers(min_value=1, max_value=3))
 def test_fuzzed_programs_agree_across_modes(kinds, iterations):
-    with soa_mode("0"):
+    with plain_scan():
         reference = run_program(kinds, iterations, designs.base())
-    with soa_mode("1"):
-        vectorized = run_program(kinds, iterations, designs.base())
-    assert _fingerprint(vectorized) == _fingerprint(reference)
+    core = run_program(kinds, iterations, designs.base())
+    assert _fingerprint(core) == _fingerprint(reference)
 
 
-@pytest.mark.skipif(not has_numpy, reason="SoA mode needs numpy")
 @settings(max_examples=6, deadline=None)
 @given(kinds=bodies, iterations=st.integers(min_value=1, max_value=3))
 def test_fuzzed_caba_runs_agree_across_modes(kinds, iterations):
-    """Assist-warp machinery (never SoA-mirrored) must not disturb the
-    parent warps' vectorized screen."""
+    """Assist warps share the parent warps' units and gate them, but
+    never invalidate a memo themselves: their activity must not
+    disturb the parent warps' memoized scan."""
+    from repro.compression import make_algorithm
     from repro.core.controller import CabaController
     from repro.core.params import CabaParams
     from repro.core.subroutines import SubroutineLibrary
-    from repro.gpu.kernel import Kernel
     from repro.gpu.isa import Program
+    from repro.gpu.kernel import Kernel
     from repro.gpu.simulator import Simulator
     from repro.memory.image import MemoryImage
     from tests.gpu.test_simulator_fuzz import _instr
@@ -204,7 +198,6 @@ def test_fuzzed_caba_runs_agree_across_modes(kinds, iterations):
             warps_per_block=2,
             regs_per_thread=16,
         )
-        from repro.compression import make_algorithm
         algo = make_algorithm("bdi", config.line_size)
         image = MemoryImage(
             lambda line: bytes(config.line_size), algo, config.line_size
@@ -221,8 +214,7 @@ def test_fuzzed_caba_runs_agree_across_modes(kinds, iterations):
         )
         return sim.run()
 
-    with soa_mode("0"):
+    with plain_scan():
         reference = run_once()
-    with soa_mode("1"):
-        vectorized = run_once()
-    assert _fingerprint(vectorized) == _fingerprint(reference)
+    core = run_once()
+    assert _fingerprint(core) == _fingerprint(reference)

@@ -20,9 +20,10 @@ The matrix covers four run families, keyed as:
 * ``scenario:KIND/{assist,base}`` — prefetch/memoization scenario runs
   with and without the assist-warp controller.
 
-A subset of keys is additionally replayed with ``REPRO_SOA=0`` against
-the *same* fixture entries: the vectorized and pure-Python cores must
-agree byte-exactly, so one fixture serves both backends.
+A subset of keys is additionally replayed with numpy switched off
+against the *same* fixture entries: a pure-Python install (pure batch
+compression kernels; the simulator core never uses numpy) must agree
+byte-exactly, so one fixture serves both installs.
 """
 
 import json
@@ -32,6 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro import design as designs
+from repro.compression import batch
 from repro.gpu.config import GPUConfig
 from repro.harness.runner import (
     clear_caches,
@@ -66,8 +68,8 @@ ALL_KEYS = tuple(
     f"{app}/{algorithm}" for app in APPS for algorithm in ALGORITHMS
 ) + CAPACITY_KEYS + SCENARIO_KEYS
 
-#: Keys replayed under ``REPRO_SOA=0`` against the same fixture entries
-#: (one representative per run family).
+#: Keys replayed without numpy against the same fixture entries (one
+#: representative per run family).
 PURE_BACKEND_KEYS = (
     "ATTN/cpack",
     "ST3D/bestofall",
@@ -174,10 +176,10 @@ def test_golden_stats(key):
 
 @pytest.mark.parametrize("key", PURE_BACKEND_KEYS)
 def test_golden_stats_pure_backend(key, monkeypatch):
-    """The pure-Python core reproduces the same fixture byte-exactly."""
+    """A pure-Python install reproduces the same fixture byte-exactly."""
     if os.environ.get("REPRO_REGEN_GOLDEN"):
         pytest.skip("regenerating")
-    monkeypatch.setenv("REPRO_SOA", "0")
+    monkeypatch.setattr(batch, "np", None)
     golden = _load_golden()
     assert key in golden, f"fixture has no entry for {key}; regenerate"
     assert _snapshot(_run_for_key(key)) == golden[key]
