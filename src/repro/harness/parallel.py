@@ -3,28 +3,29 @@
 Every ``(app, design, config)`` point of the paper's experiment matrix
 is independent and fully deterministic, so the figure harnesses simply
 enumerate their :class:`~repro.harness.runner.RunSpec` lists up front
-and submit them here. The engine
+and submit them here.
 
-1. deduplicates the specs (the Figure 7/8/9 studies share most runs),
-2. resolves what it can from the in-process memo and the persistent
-   on-disk cache (:mod:`repro.harness.cache`),
-3. ships the remaining specs to a ``ProcessPoolExecutor`` one future
-   per spec, and
-4. checkpoints each worker result into both cache layers as it lands.
+One :class:`Schedule` tracks a batch: it deduplicates the specs, grants
+attempts as :class:`Task` handles with optional deadlines, charges
+failed attempts, queues retries behind an exponential backoff, and
+records each spec's terminal result or structured :class:`RunFailure`
+(spec, kind, attempts, exception, traceback, worker pid). It is a pure
+state machine over an injected clock, driven by three transports:
 
-``jobs=1`` (the default) bypasses the pool entirely and simulates
-inline, preserving the exact serial behavior.
+* inline (``jobs=1``, the default): each attempt runs in-process; a
+  retry waits out its backoff while the other specs run;
+* the process pool of :class:`ExperimentEngine` (``jobs>1``): cache
+  hits resolve up front, at most ``jobs`` per-spec futures run at a
+  time, each result is checkpointed into both cache layers as it
+  lands, a broken pool (killed worker) is respawned with the in-flight
+  specs replayed one at a time, and a per-spec wall-clock timeout
+  cancels hung workers;
+* the HTTP lease coordinator of :mod:`repro.service.fabric`.
 
-The execution core is fault tolerant: a worker exception is captured as
-a structured :class:`RunFailure` (spec, attempt, exception, traceback,
-worker pid) instead of aborting the batch, transient failures retry
-with exponential backoff, a broken pool (killed worker) is respawned
-with only the in-flight specs resubmitted, and an optional per-spec
-wall-clock timeout cancels hung workers. ``run_many(strict=False)``
-returns the partial results plus the failure report; the default
-``strict=True`` raises :class:`ExperimentFailure` after the rest of the
-batch has completed (completed results stay checkpointed, so a rerun
-only redoes the failures).
+``run_many(strict=False)`` returns the partial results plus the failure
+report; the default ``strict=True`` raises :class:`ExperimentFailure`
+after the rest of the batch has completed (completed results stay
+checkpointed, so a rerun only redoes the failures).
 
 Knobs (also documented in README.md):
 
@@ -287,13 +288,189 @@ def _worker_run(spec: RunSpec, attempt: int = 1) -> RunResult | _WorkerFailure:
         )
 
 
-@dataclass
-class _Task:
-    """One in-flight attempt of one spec."""
+# ----------------------------------------------------------------------
+# Schedule: the attempt/deadline state machine every transport drives
+# ----------------------------------------------------------------------
+@dataclass(eq=False)
+class Task:
+    """One granted attempt of one spec. Handles compare by identity: a
+    handle whose attempt was already settled or requeued is stale, and
+    the :class:`Schedule` ignores every report made with it."""
 
     spec: RunSpec
-    attempt: int = 1
+    attempt: int
     deadline: float | None = None
+
+
+class Schedule:
+    """Attempts, retries and deadlines for one batch of specs.
+
+    A pure state machine over an injected ``clock``: it touches no
+    cache, pool or lock, so the inline, process-pool and HTTP-lease
+    transports all drive the same one. Every open spec is in exactly
+    one place — ready, delayed (waiting out a retry backoff) or held by
+    a granted :class:`Task` — until it settles for good as a result or
+    a :class:`RunFailure`.
+
+    Args:
+        specs: The batch; duplicates collapse onto their first position.
+        attempts: Attempt budget per spec (``>= 1``).
+        backoff: ``attempt -> seconds`` to wait before retrying once
+            that attempt failed; ``None`` retries immediately.
+        clock: Monotonic time source for deadlines and backoff.
+    """
+
+    def __init__(self, specs: Iterable[RunSpec], attempts: int,
+                 backoff: Callable[[int], float] | None = None,
+                 clock: Callable[[], float] = time.monotonic) -> None:
+        if attempts < 1:
+            raise ValueError(f"attempts must be >= 1, got {attempts}")
+        self.attempts = attempts
+        self._backoff = backoff
+        self._clock = clock
+        self._ready: deque[tuple[RunSpec, int]] = deque(
+            (spec, 1) for spec in dict.fromkeys(specs))
+        self._delayed: list[tuple[float, RunSpec, int]] = []
+        self._held: dict[RunSpec, Task] = {}
+        self.results: dict[RunSpec, RunResult] = {}
+        self.failures: dict[RunSpec, RunFailure] = {}
+        self._news: list[tuple[RunSpec, RunResult | RunFailure]] = []
+
+    @property
+    def done(self) -> bool:
+        """Every spec has settled as a result or a failure."""
+        return not (self._ready or self._delayed or self._held)
+
+    @property
+    def pending(self) -> int:
+        """Specs waiting for a grant (ready or backing off)."""
+        return len(self._ready) + len(self._delayed)
+
+    def take(self, n: int, ttl: float | None = None) -> list[Task]:
+        """Grant up to ``n`` ready specs, each due back within ``ttl``
+        seconds (``None``: no deadline)."""
+        now = self._clock()
+        if self._delayed:
+            self._ready.extend((spec, attempt) for at, spec, attempt
+                               in self._delayed if at <= now)
+            self._delayed = [item for item in self._delayed if item[0] > now]
+        granted = []
+        while self._ready and len(granted) < n:
+            spec, attempt = self._ready.popleft()
+            task = Task(spec, attempt, None if ttl is None else now + ttl)
+            self._held[spec] = task
+            granted.append(task)
+        return granted
+
+    def renew(self, task: Task, ttl: float | None) -> None:
+        """Restart a held task's deadline ``ttl`` seconds from now
+        (``None`` suspends it)."""
+        if self._held.get(task.spec) is task:
+            task.deadline = None if ttl is None else self._clock() + ttl
+
+    def succeed(self, task: Task, result: RunResult) -> None:
+        if self._drop(task):
+            self.results[task.spec] = result
+            self._news.append((task.spec, result))
+
+    def fail(self, task: Task, kind: str, exception: str,
+             traceback: str = "", worker_pid: int | None = None) -> bool:
+        """Charge the task's attempt: a terminal :class:`RunFailure`
+        once the budget is spent, else a retry (after the backoff).
+        Returns whether a retry was queued."""
+        if not self._drop(task):
+            return False
+        if task.attempt >= self.attempts:
+            self._terminal(RunFailure(
+                spec=task.spec, kind=kind, attempts=task.attempt,
+                exception=exception, traceback=traceback,
+                worker_pid=worker_pid))
+            return False
+        retry = (task.spec, task.attempt + 1)
+        delay = self._backoff(task.attempt) if self._backoff else 0.0
+        if delay > 0:
+            self._delayed.append((self._clock() + delay, *retry))
+        else:
+            self._ready.append(retry)
+        return True
+
+    def release(self, task: Task) -> None:
+        """Requeue a held task that never ran; no attempt is charged."""
+        if self._drop(task):
+            self._ready.append((task.spec, task.attempt))
+
+    def expired(self) -> list[Task]:
+        """Held tasks whose deadline has passed (still held: the caller
+        decides what that costs)."""
+        now = self._clock()
+        return [task for task in self._held.values()
+                if task.deadline is not None and task.deadline <= now]
+
+    def next_wake(self) -> float | None:
+        """Earliest deadline or backoff end; ``None`` when neither."""
+        times = [task.deadline for task in self._held.values()
+                 if task.deadline is not None]
+        times += [at for at, _, _ in self._delayed]
+        return min(times, default=None)
+
+    def abort(self, reason: str) -> None:
+        """Fail every open spec as ``aborted`` on its current attempt."""
+        open_specs = [*self._ready,
+                      *((spec, attempt) for _, spec, attempt in self._delayed),
+                      *((task.spec, task.attempt)
+                        for task in self._held.values())]
+        self._ready.clear()
+        self._delayed.clear()
+        self._held.clear()
+        for spec, attempt in open_specs:
+            self._terminal(RunFailure(spec=spec, kind="aborted",
+                                      attempts=attempt, exception=reason))
+
+    def drain(self) -> list[tuple[RunSpec, RunResult | RunFailure]]:
+        """Terminal outcomes recorded since the last drain."""
+        news, self._news = self._news, []
+        return news
+
+    def batch(self, ordered: Sequence[RunSpec]) -> BatchResult:
+        """Results aligned with ``ordered`` plus the failure report."""
+        return BatchResult(results=[self.results.get(s) for s in ordered],
+                           failures=list(self.failures.values()))
+
+    def _terminal(self, failure: RunFailure) -> None:
+        self.failures[failure.spec] = failure
+        self._news.append((failure.spec, failure))
+
+    def _drop(self, task: Task) -> bool:
+        """End ``task``'s hold; False when it is not the current one."""
+        if self._held.get(task.spec) is not task:
+            return False
+        del self._held[task.spec]
+        return True
+
+
+def deliver(outcomes: Iterable[tuple[RunSpec, RunResult | RunFailure]],
+            on_result: Callable[[RunSpec, RunResult], None] | None = None,
+            on_failure: Callable[[RunFailure], None] | None = None) -> None:
+    """Fire ``run_many``'s callbacks for outcomes drained from a
+    :class:`Schedule` (outside any lock, since callbacks take their
+    own)."""
+    for spec, outcome in outcomes:
+        if isinstance(outcome, RunFailure):
+            if on_failure is not None:
+                on_failure(outcome)
+        elif on_result is not None:
+            on_result(spec, outcome)
+
+
+def resolve_cached(schedule: Schedule) -> None:
+    """Settle every spec the in-process memo or the persistent cache
+    already holds; the misses go back to the schedule unrun."""
+    for task in schedule.take(schedule.pending):
+        hit = runner.cached_result(task.spec)
+        if hit is None:
+            schedule.release(task)
+        else:
+            schedule.succeed(task, hit)
 
 
 class ExperimentEngine:
@@ -392,162 +569,105 @@ class ExperimentEngine:
         must not raise.
         """
         ordered = list(specs)
-        unique: list[RunSpec] = []
-        seen: set[RunSpec] = set()
-        for spec in ordered:
-            if spec not in seen:
-                seen.add(spec)
-                unique.append(spec)
+        schedule = Schedule(ordered, attempts=self.retries + 1,
+                            backoff=_backoff_delay)
 
-        resolved: dict[RunSpec, RunResult] = {}
+        def report() -> None:
+            deliver(schedule.drain(), on_result, on_failure)
+
         if self.jobs <= 1:
-            failures = self._run_serial(unique, resolved,
-                                        on_result=on_result,
-                                        on_failure=on_failure)
+            self._run_serial(schedule, report)
         else:
-            pending = []
-            for spec in unique:
-                hit = runner.cached_result(spec)
-                if hit is not None:
-                    resolved[spec] = hit
-                    if on_result is not None:
-                        on_result(spec, hit)
-                else:
-                    pending.append(spec)
-            failures = self._run_pool(pending, resolved,
-                                      on_result=on_result,
-                                      on_failure=on_failure)
+            resolve_cached(schedule)
+            report()
+            self._run_pool(schedule, report)
 
-        if failures and strict:
-            raise ExperimentFailure(failures, resolved, label=label)
-        results = [resolved.get(spec) for spec in ordered]
-        if strict:
-            return results
-        return BatchResult(results=results, failures=failures)
+        batch = schedule.batch(ordered)
+        if not strict:
+            return batch
+        if batch.failures:
+            raise ExperimentFailure(batch.failures, schedule.results,
+                                    label=label)
+        return batch.results
 
     # ------------------------------------------------------------------
-    def _run_serial(
-        self, specs: Sequence[RunSpec], resolved: dict[RunSpec, RunResult],
-        on_result: Callable | None = None,
-        on_failure: Callable | None = None,
-    ) -> list[RunFailure]:
+    def _settle(self, schedule: Schedule, task: Task,
+                outcome: RunResult | _WorkerFailure) -> None:
+        """Report one attempt's outcome (either local transport)."""
+        if isinstance(outcome, _WorkerFailure):
+            schedule.fail(task, "error", outcome.exception,
+                          traceback=outcome.traceback,
+                          worker_pid=outcome.worker_pid)
+            return
+        if self.jobs > 1:
+            # Checkpoint as results land, not at batch end (an inline
+            # run_spec has already checkpointed its own result).
+            runner.record_result(task.spec, outcome)
+        schedule.succeed(task, outcome)
+
+    def _run_serial(self, schedule: Schedule,
+                    report: Callable[[], None]) -> None:
         """Inline execution with the same retry/failure contract as the
         pool (timeouts excepted: a hung in-process run cannot be
-        interrupted)."""
-        failures: list[RunFailure] = []
-        for spec in specs:
-            attempt = 1
-            while True:
-                try:
-                    maybe_inject_fault(spec, attempt)
-                    resolved[spec] = runner.run_spec(spec)
-                    if on_result is not None:
-                        on_result(spec, resolved[spec])
-                    break
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    if attempt > self.retries:
-                        failure = RunFailure(
-                            spec=spec, kind="error", attempts=attempt,
-                            exception=repr(exc),
-                            traceback=traceback_mod.format_exc(),
-                            worker_pid=os.getpid(),
-                        )
-                        failures.append(failure)
-                        if on_failure is not None:
-                            on_failure(failure)
-                        break
-                    time.sleep(_backoff_delay(attempt))
-                    attempt += 1
-        return failures
+        interrupted). A retry waits out its backoff while the other
+        specs run."""
+        while not schedule.done:
+            granted = schedule.take(1)
+            if not granted:
+                # Only backoff-delayed retries remain; sleep them in.
+                time.sleep(max(0.0, schedule.next_wake() - time.monotonic()))
+                continue
+            (task,) = granted
+            self._settle(schedule, task, _worker_run(task.spec, task.attempt))
+            report()
 
     # ------------------------------------------------------------------
-    def _run_pool(
-        self, specs: Sequence[RunSpec], resolved: dict[RunSpec, RunResult],
-        on_result: Callable | None = None,
-        on_failure: Callable | None = None,
-    ) -> list[RunFailure]:
+    def _run_pool(self, schedule: Schedule,
+                  report: Callable[[], None]) -> None:
         """Per-spec futures with retry, pool recovery and timeouts.
 
         At most ``jobs`` futures are in flight at a time, so a spec's
         wall-clock deadline starts roughly when its worker starts, not
         when a huge batch was enqueued.
         """
-        failures: list[RunFailure] = []
-        waiting: deque[_Task] = deque(_Task(spec) for spec in specs)
-        retry_at: list[tuple[float, _Task]] = []
-        inflight: dict = {}
+        running: dict = {}  # future -> Task
         #: After an ambiguous pool break (several specs in flight, the
-        #: culprit unknowable) the affected specs replay one at a time,
-        #: so a repeat break charges exactly the guilty spec.
-        quarantine: deque[_Task] = deque()
+        #: culprit unknowable) the affected tasks stay held and replay
+        #: one at a time, so a repeat break charges exactly the guilty
+        #: spec.
+        quarantine: deque[Task] = deque()
 
-        def submit(task: _Task) -> None:
-            pool = self._ensure_pool()
-            future = pool.submit(_worker_run, task.spec, task.attempt)
-            task.deadline = (
-                time.monotonic() + self.timeout if self.timeout else None
-            )
-            inflight[future] = task
+        def submit(task: Task) -> None:
+            schedule.renew(task, self.timeout)
+            future = self._ensure_pool().submit(_worker_run, task.spec,
+                                                task.attempt)
+            running[future] = task
 
-        def retry_or_fail(task: _Task, kind: str, exception: str,
-                          tb: str = "", pid: int | None = None) -> None:
-            if task.attempt > self.retries:
-                failure = RunFailure(
-                    spec=task.spec, kind=kind, attempts=task.attempt,
-                    exception=exception, traceback=tb, worker_pid=pid,
-                )
-                failures.append(failure)
-                if on_failure is not None:
-                    on_failure(failure)
-                return
-            eligible = time.monotonic() + _backoff_delay(task.attempt)
-            retry_at.append(
-                (eligible, _Task(task.spec, attempt=task.attempt + 1))
-            )
-
-        while waiting or retry_at or inflight or quarantine:
-            now = time.monotonic()
-            if retry_at:
-                due = [item for item in retry_at if item[0] <= now]
-                if due:
-                    retry_at = [i for i in retry_at if i[0] > now]
-                    waiting.extend(task for _, task in due)
+        while not schedule.done:
             if quarantine:
                 # Solo replay: exactly one in-flight task until the
                 # quarantine drains, so breakage is attributable.
-                if not inflight:
+                if not running:
                     submit(quarantine.popleft())
             else:
-                while waiting and len(inflight) < self.jobs:
-                    submit(waiting.popleft())
+                for task in schedule.take(self.jobs - len(running)):
+                    submit(task)
 
-            if not inflight:
+            wake = schedule.next_wake()
+            if not running:
                 # Only backoff-delayed retries remain; sleep them in.
-                next_at = min(ts for ts, _ in retry_at)
-                time.sleep(max(0.0, next_at - time.monotonic()))
+                time.sleep(max(0.0, wake - time.monotonic()))
                 continue
+            done, _ = wait(
+                running, return_when=FIRST_COMPLETED,
+                timeout=None if wake is None
+                else max(0.0, wake - time.monotonic()))
 
-            wake_at = None
-            if self.timeout:
-                wake_at = min(t.deadline for t in inflight.values())
-            if retry_at:
-                next_retry = min(ts for ts, _ in retry_at)
-                wake_at = next_retry if wake_at is None \
-                    else min(wake_at, next_retry)
-            wait_timeout = (
-                None if wake_at is None
-                else max(0.0, wake_at - time.monotonic())
-            )
-            done, _ = wait(list(inflight), timeout=wait_timeout,
-                           return_when=FIRST_COMPLETED)
-
-            broken: list[tuple[_Task, str]] = []
+            broken: list[tuple[Task, str]] = []
             for future in done:
-                task = inflight.pop(future)
+                task = running.pop(future)
                 if future.cancelled():
-                    waiting.append(task)  # recycled before it started
+                    schedule.release(task)  # recycled before it started
                     continue
                 exc = future.exception()
                 if exc is not None:
@@ -556,55 +676,40 @@ class ExperimentEngine:
                     # BrokenProcessPool.
                     broken.append((task, repr(exc)))
                     continue
-                outcome = future.result()
-                if isinstance(outcome, _WorkerFailure):
-                    retry_or_fail(task, "error", outcome.exception,
-                                  tb=outcome.traceback,
-                                  pid=outcome.worker_pid)
-                else:
-                    # Checkpoint as results land, not at batch end.
-                    runner.record_result(task.spec, outcome)
-                    resolved[task.spec] = outcome
-                    if on_result is not None:
-                        on_result(task.spec, outcome)
+                self._settle(schedule, task, future.result())
 
             if broken:
                 # Remaining in-flight futures died with the pool too.
                 affected = [task for task, _ in broken]
-                affected += list(inflight.values())
-                inflight.clear()
+                affected += running.values()
+                running.clear()
                 self._recycle_pool()
                 if len(affected) == 1:
                     # Unambiguous: this task's worker broke the pool.
-                    retry_or_fail(affected[0], "pool-broken", broken[0][1])
+                    schedule.fail(affected[0], "pool-broken", broken[0][1])
                 else:
-                    # Culprit unknowable: replay them one at a time
-                    # (no attempt charged for the ambiguous break).
+                    # Culprit unknowable: replay them one at a time (no
+                    # attempt charged for the ambiguous break; deadlines
+                    # restart at resubmission).
+                    for task in affected:
+                        schedule.renew(task, None)
                     quarantine.extend(affected)
 
-            if self.timeout and inflight:
-                now = time.monotonic()
-                expired = [
-                    (future, task) for future, task in inflight.items()
-                    if task.deadline is not None and now >= task.deadline
-                ]
-                if expired:
-                    for future, task in expired:
-                        del inflight[future]
-                        retry_or_fail(
-                            task, "timeout",
-                            f"TimeoutError: no result within "
-                            f"{self.timeout}s",
-                        )
-                    # The hung workers hold pool slots until killed;
-                    # recycle and resubmit the survivors (no attempt
-                    # spent — they were not at fault).
-                    survivors = list(inflight.values())
-                    inflight.clear()
-                    self._recycle_pool()
-                    waiting.extend(survivors)
-        return failures
-
+            expired = schedule.expired()
+            if expired:
+                for task in expired:
+                    schedule.fail(task, "timeout",
+                                  f"TimeoutError: no result within "
+                                  f"{self.timeout}s")
+                # The hung workers hold pool slots until killed; recycle
+                # and requeue the survivors (no attempt spent — they
+                # were not at fault; the expired tasks are settled and
+                # their release is ignored).
+                for task in running.values():
+                    schedule.release(task)
+                running.clear()
+                self._recycle_pool()
+            report()
 
 # ----------------------------------------------------------------------
 # Shared default engine (what the figure harnesses submit through)

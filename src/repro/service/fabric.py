@@ -25,16 +25,19 @@ Protocol (all JSON over the existing sweep server):
 * ``POST /v1/workers/heartbeat`` ``{worker}`` — extends the worker's
   active leases.
 
-Failure semantics: a lease that reaches its TTL without completion
-(worker crashed, hung, or partitioned) is expired by the coordinator,
-each of its specs is charged one attempt and fed back to the pending
-queue — the retry/timeout discipline of ``harness/parallel.py``
-generalized to lost nodes. A spec that exhausts its attempt budget
-becomes a structured :class:`~repro.harness.parallel.RunFailure`
-(``kind="lease-expired"``), exactly what the store already renders.
-Because completed specs land in the shared cache keyed by content,
-re-leased and resumed sweeps coalesce onto cached entries and never
-pay for a simulation twice.
+Failure semantics: the coordinator is the third transport of the
+shared :class:`~repro.harness.parallel.Schedule` (after the inline and
+process-pool transports of ``harness/parallel.py``). A lease is one
+``take`` of up to ``lease_specs`` tasks under the lease TTL and a
+heartbeat renews them. A lease that reaches its TTL without completion
+(worker crashed, hung, or partitioned) has each of its specs charged
+one attempt and fed back to the pending queue. A spec that exhausts
+its attempt budget becomes a structured
+:class:`~repro.harness.parallel.RunFailure` (``kind="lease-expired"``),
+exactly what the store already renders. A completion settles only the
+keys of the caller's own lease. Because completed specs land in the
+shared cache keyed by content, re-leased and resumed sweeps coalesce
+onto cached entries and never pay for a simulation twice.
 
 Knobs (also documented in README.md):
 
@@ -53,14 +56,19 @@ import os
 import pickle
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from repro.harness import cache as cache_mod
 from repro.harness import runner
 from repro.harness.cache import HTTPCacheBackend, version_stamp
-from repro.harness.parallel import BatchResult, RunFailure
-from repro.harness.runner import RunResult, RunSpec
+from repro.harness.parallel import (
+    BatchResult,
+    Schedule,
+    Task,
+    deliver,
+    resolve_cached,
+)
+from repro.harness.runner import RunSpec
 from repro.service.specs import spec_label
 
 
@@ -130,50 +138,26 @@ def fabric_enabled() -> bool:
 
 
 # ----------------------------------------------------------------------
-# Coordinator state
+# Coordinator
 # ----------------------------------------------------------------------
 @dataclass
-class _Entry:
-    """One not-yet-resolved spec of the current batch."""
-
-    spec: RunSpec
-    key: str
-    attempts: int = 0
-    lease: str | None = None
-    resolved: bool = False
-    failed: bool = False
-    #: RunResult or RunFailure once terminal; ``shipped`` flips when
-    #: the drain thread has delivered it to the store callbacks.
-    outcome: object = None
-    shipped: bool = False
-
-
-@dataclass
 class _Lease:
-    id: str
     worker: str
-    keys: list[str]
-    expires: float
-
-
-@dataclass
-class _Worker:
-    id: str
-    name: str
-    last_seen: float
-    leases_granted: int = 0
-    completed: int = 0
+    tasks: dict[str, Task]  # cache key -> the granted attempt
 
 
 class FabricCoordinator:
     """Engine-shaped lease coordinator (``run_many``/``close``).
 
-    ``run_many`` parks unresolved specs in a pending queue and blocks
-    until remote workers drain it; ``lease``/``complete``/``heartbeat``
-    are called concurrently from the server's request threads. Lock
-    ordering: store callbacks (``on_result``/``on_failure``) are always
-    fired *outside* the coordinator lock, because they take the
-    JobStore lock — which may itself call :meth:`stats` while held.
+    A transport over the shared :class:`~repro.harness.parallel.Schedule`:
+    a lease is one ``take``, a heartbeat renews the lease's tasks, and
+    an expired lease fails them as ``lease-expired``. ``run_many`` owns
+    the schedule and blocks until remote workers drain it;
+    ``lease``/``complete``/``heartbeat`` are called concurrently from
+    the server's request threads. Lock ordering: store callbacks
+    (``on_result``/``on_failure``) are always fired *outside* the
+    coordinator lock, because they take the JobStore lock — which may
+    itself call :meth:`stats` while held.
     """
 
     def __init__(self, config: FabricConfig | None = None) -> None:
@@ -185,10 +169,9 @@ class FabricCoordinator:
         self.config = config or FabricConfig.from_env()
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._workers: dict[str, _Worker] = {}
+        self._workers: set[str] = set()
         self._leases: dict[str, _Lease] = {}
-        self._pending: deque[_Entry] = deque()
-        self._by_key: dict[str, _Entry] = {}
+        self._schedule: Schedule | None = None
         self._seq = 0
         self._stopping = False
         self._counters = {
@@ -210,72 +193,34 @@ class FabricCoordinator:
             raise ValueError("the fabric coordinator only runs "
                              "strict=False batches (the JobStore's mode)")
         ordered = list(specs)
-        unique: list[RunSpec] = []
-        seen: set[RunSpec] = set()
-        for spec in ordered:
-            if spec not in seen:
-                seen.add(spec)
-                unique.append(spec)
-
-        cache = cache_mod.get_cache()
-        results: dict[RunSpec, RunResult] = {}
-        failures: dict[RunSpec, RunFailure] = {}
-        notify: list[tuple[RunSpec, RunResult | RunFailure]] = []
-
+        schedule = Schedule(ordered, attempts=self.config.retries)
         with self._lock:
-            if self._by_key:
+            if self._schedule is not None:
                 raise RuntimeError("a fabric batch is already active "
                                    "(the store serializes batches)")
-            for spec in unique:
-                hit = runner.cached_result(spec)
-                if hit is not None:
-                    results[spec] = hit
-                    notify.append((spec, hit))
-                    continue
-                entry = _Entry(spec=spec, key=cache.key(spec))
-                self._by_key[entry.key] = entry
-                self._pending.append(entry)
-            self._cond.notify_all()
-        self._fire(notify, on_result, on_failure)
+            self._schedule = schedule
+            resolve_cached(schedule)
 
         # Wake often enough to expire dead leases promptly even when no
         # worker traffic arrives to do it for us.
         tick = min(1.0, self.config.lease_ttl / 4.0)
-        while True:
+        finished = False
+        while not finished:
             with self._lock:
-                self._expire_locked(time.monotonic())
-                open_entries = [e for e in self._by_key.values()
-                                if not e.resolved and not e.failed]
-                if open_entries and self._stopping:
-                    for entry in open_entries:
-                        entry.failed = True
-                        entry.outcome = RunFailure(
-                            spec=entry.spec, kind="aborted",
-                            attempts=entry.attempts + 1,
-                            exception="fabric coordinator shut down "
-                                      "with the spec unresolved")
-                    open_entries = []
-                if not open_entries:
-                    harvest = self._harvest_locked()
-                    self._by_key.clear()
-                    self._pending.clear()
-                    self._leases.clear()
-                else:
+                self._expire_locked()
+                if self._stopping:
+                    schedule.abort("fabric coordinator shut down with "
+                                   "the spec unresolved")
+                outcomes = schedule.drain()
+                if not outcomes and not schedule.done:
                     self._cond.wait(timeout=tick)
-                    harvest = self._harvest_locked()
-                done = not open_entries
-            self._fire(harvest, on_result, on_failure)
-            for spec, outcome in harvest:
-                if isinstance(outcome, RunFailure):
-                    failures[spec] = outcome
-                else:
-                    results[spec] = outcome
-            if done:
-                break
-
-        aligned = [results.get(spec) for spec in ordered]
-        return BatchResult(results=aligned,
-                           failures=list(failures.values()))
+                    outcomes = schedule.drain()
+                finished = schedule.done
+                if finished:
+                    self._schedule = None
+                    self._leases.clear()
+            deliver(outcomes, on_result, on_failure)
+        return schedule.batch(ordered)
 
     def close(self) -> None:
         self.abort()
@@ -299,56 +244,46 @@ class FabricCoordinator:
                 "source and would poison the content-addressed cache")
         with self._lock:
             self._seq += 1
-            worker = _Worker(id=f"w{self._seq}-{name}", name=name,
-                             last_seen=time.monotonic())
-            self._workers[worker.id] = worker
+            worker_id = f"w{self._seq}-{name}"
+            self._workers.add(worker_id)
         return {
-            "worker": worker.id,
+            "worker": worker_id,
             "lease_ttl": self.config.lease_ttl,
             "lease_specs": self.config.lease_specs,
             "poll": self.config.poll,
         }
 
     def lease(self, worker_id: str, max_specs: int | None = None) -> dict:
-        now = time.monotonic()
         with self._lock:
-            worker = self._worker_locked(worker_id, now)
-            self._expire_locked(now)
-            budget = max_specs or self.config.lease_specs
-            granted: list[_Entry] = []
-            while self._pending and len(granted) < budget:
-                entry = self._pending.popleft()
-                if entry.resolved or entry.failed or entry.lease:
-                    continue  # stale queue entry from a double requeue
-                granted.append(entry)
-            if not granted:
+            self._worker_locked(worker_id)
+            self._expire_locked()
+            tasks = [] if self._schedule is None else self._schedule.take(
+                max_specs or self.config.lease_specs, self.config.lease_ttl)
+            if not tasks:
                 return {"lease": None, "specs": []}
             self._seq += 1
-            lease = _Lease(id=f"l{self._seq}", worker=worker_id,
-                           keys=[e.key for e in granted],
-                           expires=now + self.config.lease_ttl)
-            self._leases[lease.id] = lease
-            for entry in granted:
-                entry.lease = lease.id
-            worker.leases_granted += 1
+            lease_id = f"l{self._seq}"
+            cache = cache_mod.get_cache()
+            lease = _Lease(worker_id,
+                           {cache.key(task.spec): task for task in tasks})
+            self._leases[lease_id] = lease
             self._counters["leases_granted"] += 1
             return {
-                "lease": lease.id,
+                "lease": lease_id,
                 "ttl": self.config.lease_ttl,
                 "specs": [
-                    {"key": e.key, "label": spec_label(e.spec),
-                     "spec": encode_spec(e.spec)}
-                    for e in granted
+                    {"key": key, "label": spec_label(task.spec),
+                     "spec": encode_spec(task.spec)}
+                    for key, task in lease.tasks.items()
                 ],
             }
 
     def complete(self, worker_id: str, lease_id: str,
                  done: list[str], failures: list[dict],
                  simulated: int = 0, cached: int = 0) -> dict:
-        now = time.monotonic()
         with self._lock:
-            worker = self._worker_locked(worker_id, now)
-            lease = self._leases.pop(lease_id, None)
+            self._worker_locked(worker_id)
+            lease = self._leases.get(lease_id)
             if lease is None or lease.worker != worker_id:
                 # The lease already expired (its specs are requeued or
                 # re-resolved elsewhere). The worker's uploads are still
@@ -358,64 +293,52 @@ class FabricCoordinator:
                     "stale-lease",
                     f"lease {lease_id!r} is not active for "
                     f"{worker_id!r} (expired and requeued?)")
+            del self._leases[lease_id]
+            schedule = self._schedule
             self._counters["remote_simulated"] += max(0, int(simulated))
             self._counters["remote_cached"] += max(0, int(cached))
-            reported: set[str] = set()
+            # Only this lease's own keys are settled: a report naming
+            # another worker's spec is ignored.
             for key in done:
-                reported.add(key)
-                entry = self._by_key.get(key)
-                if entry is None or entry.resolved or entry.failed:
+                task = lease.tasks.pop(key, None)
+                if task is None:
                     continue
-                entry.lease = None
-                result = runner.cached_result(entry.spec)
-                if result is None:
-                    # Claimed done but the upload never landed: treat
-                    # as a lost attempt, never as silent success.
-                    self._charge_attempt_locked(
-                        entry, kind="upload-missing",
-                        detail="worker reported the spec done but its "
-                               "result is absent from the cache")
-                    continue
-                entry.resolved = True
-                entry.outcome = result
-                worker.completed += 1
-                self._counters["completed"] += 1
+                result = runner.cached_result(task.spec)
+                if result is not None:
+                    schedule.succeed(task, result)
+                    self._counters["completed"] += 1
+                elif schedule.fail(
+                        task, "upload-missing",
+                        "worker reported the spec done but its result "
+                        "is absent from the cache"):
+                    # Claimed done but the upload never landed: a lost
+                    # attempt, never a silent success.
+                    self._counters["specs_requeued"] += 1
             for failure in failures:
-                key = str(failure.get("key", ""))
-                reported.add(key)
-                entry = self._by_key.get(key)
-                if entry is None or entry.resolved or entry.failed:
-                    continue
-                entry.lease = None
-                self._charge_attempt_locked(
-                    entry, kind=str(failure.get("kind", "error")),
-                    detail=str(failure.get("exception", "worker error")))
+                task = lease.tasks.pop(str(failure.get("key", "")), None)
+                if task is not None and schedule.fail(
+                        task, str(failure.get("kind", "error")),
+                        str(failure.get("exception", "worker error"))):
+                    self._counters["specs_requeued"] += 1
             # Leased specs the worker did not report at all (e.g. it
             # was told to stop mid-batch) go straight back to pending
             # without burning an attempt — nothing ran.
-            for key in lease.keys:
-                if key in reported:
-                    continue
-                entry = self._by_key.get(key)
-                if entry is not None and not entry.resolved \
-                        and not entry.failed and entry.lease == lease.id:
-                    entry.lease = None
-                    self._pending.append(entry)
-                    self._counters["specs_requeued"] += 1
+            for task in lease.tasks.values():
+                schedule.release(task)
+                self._counters["specs_requeued"] += 1
             self._cond.notify_all()
         return {"ok": True}
 
     def heartbeat(self, worker_id: str) -> dict:
-        now = time.monotonic()
         with self._lock:
-            worker = self._worker_locked(worker_id, now)
+            self._worker_locked(worker_id)
             extended = 0
             for lease in self._leases.values():
                 if lease.worker == worker_id:
-                    lease.expires = now + self.config.lease_ttl
+                    for task in lease.tasks.values():
+                        self._schedule.renew(task, self.config.lease_ttl)
                     extended += 1
-        return {"ok": True, "extended": extended,
-                "worker": worker.id}
+        return {"ok": True, "extended": extended, "worker": worker_id}
 
     def stats(self) -> dict:
         with self._lock:
@@ -423,70 +346,37 @@ class FabricCoordinator:
                 **self._counters,
                 "workers": len(self._workers),
                 "active_leases": len(self._leases),
-                "pending_specs": len(self._pending),
+                "pending_specs": (self._schedule.pending
+                                  if self._schedule is not None else 0),
                 "lease_ttl": self.config.lease_ttl,
             }
 
     # ------------------------------------------------------------------
     # Internals (all *_locked require self._lock)
     # ------------------------------------------------------------------
-    def _worker_locked(self, worker_id: str, now: float) -> _Worker:
-        worker = self._workers.get(worker_id)
-        if worker is None:
+    def _worker_locked(self, worker_id: str) -> None:
+        if worker_id not in self._workers:
             raise FabricError("unknown-worker",
                               f"worker {worker_id!r} is not registered")
-        worker.last_seen = now
-        return worker
 
-    def _charge_attempt_locked(self, entry: _Entry, kind: str,
-                               detail: str) -> None:
-        entry.attempts += 1
-        if entry.attempts >= self.config.retries:
-            entry.failed = True
-            entry.outcome = RunFailure(
-                spec=entry.spec, kind=kind, attempts=entry.attempts,
-                exception=detail)
-        else:
-            self._pending.append(entry)
-            self._counters["specs_requeued"] += 1
-
-    def _expire_locked(self, now: float) -> None:
-        for lease_id in [lid for lid, lease in self._leases.items()
-                         if lease.expires <= now]:
-            lease = self._leases.pop(lease_id)
+    def _expire_locked(self) -> None:
+        schedule = self._schedule
+        lapsed = set(schedule.expired()) if schedule is not None else set()
+        if not lapsed:
+            return
+        for lease_id, lease in list(self._leases.items()):
+            if lapsed.isdisjoint(lease.tasks.values()):
+                continue
+            del self._leases[lease_id]
             self._counters["leases_expired"] += 1
-            for key in lease.keys:
-                entry = self._by_key.get(key)
-                if entry is None or entry.resolved or entry.failed \
-                        or entry.lease != lease_id:
-                    continue
-                entry.lease = None
-                self._charge_attempt_locked(
-                    entry, kind="lease-expired",
-                    detail=f"lease {lease_id} on worker "
-                           f"{lease.worker} reached its TTL "
-                           f"({self.config.lease_ttl:g}s) unrenewed")
-            self._cond.notify_all()
-
-    def _harvest_locked(self) -> list[tuple[RunSpec, object]]:
-        """Collect outcomes recorded since the last harvest (request
-        threads only mark entries; the drain thread ships them)."""
-        out = []
-        for entry in self._by_key.values():
-            if entry.outcome is not None and not entry.shipped:
-                entry.shipped = True
-                out.append((entry.spec, entry.outcome))
-        return out
-
-    @staticmethod
-    def _fire(outcomes, on_result, on_failure) -> None:
-        for spec, outcome in outcomes:
-            if isinstance(outcome, RunFailure):
-                if on_failure is not None:
-                    on_failure(outcome)
-            else:
-                if on_result is not None:
-                    on_result(spec, outcome)
+            for task in lease.tasks.values():
+                if schedule.fail(
+                        task, "lease-expired",
+                        f"lease {lease_id} on worker {lease.worker} "
+                        f"reached its TTL ({self.config.lease_ttl:g}s) "
+                        "unrenewed"):
+                    self._counters["specs_requeued"] += 1
+        self._cond.notify_all()
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,8 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
+from collections import Counter
 
 from repro import design as designs
 from repro.energy.model import EnergyBreakdown
@@ -82,12 +84,15 @@ class TestThreadRaces:
 
     ROUNDS = 200
 
-    def _race(self, tmp_path, disrupt) -> None:
+    def _race(self, tmp_path, disrupt) -> Counter:
+        """Race three readers against ``ROUNDS`` disruptions; returns
+        the readers' tally of hits and misses."""
         cache = RunCache(root=tmp_path)
         specs = [_spec(app) for app in ("MM", "PVC", "CONS")]
         expected = {spec: _put(cache, spec).cycles for spec in specs}
         errors: list[BaseException] = []
         stop = threading.Event()
+        seen = Counter()
 
         def reader() -> None:
             try:
@@ -96,6 +101,11 @@ class TestThreadRaces:
                         hit = cache.get(spec)
                         assert hit is None or \
                             hit.cycles == expected[spec]
+                        seen["miss" if hit is None else "hit"] += 1
+                    # Yield the GIL: a reader spinning on misses would
+                    # otherwise make the disrupting thread wait a whole
+                    # switch interval per syscall.
+                    time.sleep(0)
             except BaseException as exc:
                 errors.append(exc)
 
@@ -110,6 +120,7 @@ class TestThreadRaces:
             for thread in threads:
                 thread.join(timeout=10.0)
         assert not errors, f"reader crashed: {errors[0]!r}"
+        return seen
 
     def test_get_races_clear(self, tmp_path):
         def disrupt(cache, specs):
@@ -117,7 +128,10 @@ class TestThreadRaces:
             for spec in specs:
                 _put(cache, spec)
 
-        self._race(tmp_path, disrupt)
+        seen = self._race(tmp_path, disrupt)
+        # Both sides of the race happened: reads landed between a clear
+        # and the re-put as well as after it.
+        assert seen["hit"] >= 1 and seen["miss"] >= 1
 
     def test_get_races_sweep_tmp(self, tmp_path):
         def disrupt(cache, specs):

@@ -222,6 +222,51 @@ class TestProtocol:
         assert len(result.failures) == 1
         assert result.failures[0].kind == "upload-missing"
 
+    def test_complete_only_settles_the_callers_own_lease(self):
+        """A report naming a key leased to another worker is ignored:
+        it must neither fail that spec nor block its holder's result."""
+        coordinator = FabricCoordinator(_config(retries=1, lease_specs=1))
+        specs = _specs()
+        batch = _Batch(coordinator, specs)
+        holder = coordinator.register("a", version_stamp())["worker"]
+        meddler = coordinator.register("b", version_stamp())["worker"]
+        deadline = time.monotonic() + 10.0
+        while True:
+            assert time.monotonic() < deadline
+            grant = coordinator.lease(holder)
+            if grant["lease"] is not None:
+                break
+            time.sleep(0.01)
+        other = coordinator.lease(meddler)
+        assert other["lease"] is not None
+        key = grant["specs"][0]["key"]
+        # Presenting the holder's lease id is refused and leaves the
+        # lease active for its holder.
+        with pytest.raises(FabricError) as exc_info:
+            coordinator.complete(meddler, grant["lease"], done=[key],
+                                 failures=[])
+        assert exc_info.value.code == "stale-lease"
+        coordinator.complete(
+            meddler, other["lease"], done=[],
+            failures=[{"key": key, "kind": "error",
+                       "exception": "BoomError: not my spec"}])
+
+        spec = decode_spec(grant["specs"][0]["spec"])
+        runner.record_result(spec, make_result(spec))
+        coordinator.complete(holder, grant["lease"], done=[key],
+                             failures=[])
+        # The meddler's own spec went back unreported; finish it.
+        again = coordinator.lease(meddler)
+        (item,) = again["specs"]
+        retried = decode_spec(item["spec"])
+        runner.record_result(retried, make_result(retried))
+        coordinator.complete(meddler, again["lease"], done=[item["key"]],
+                             failures=[])
+        result = batch.join()
+        assert not result.failures
+        assert batch.results[spec] == make_result(spec)
+        assert set(batch.results) == set(specs)
+
     def test_abort_fails_open_specs(self):
         coordinator = FabricCoordinator(_config())
         batch = _Batch(coordinator, _specs())
